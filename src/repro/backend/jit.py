@@ -170,7 +170,17 @@ def predictor_cache_key(forest: "Forest", schedule: "Schedule") -> str:
     with different cutoffs must occupy different cache slots. The default
     (``pgo=None``) key shape is unchanged — pinned key hashes stay valid.
     """
-    key = f"{schedule.backend}:{model_fingerprint(forest, schedule)}"
+    return fingerprint_cache_key(model_fingerprint(forest, schedule), schedule)
+
+
+def fingerprint_cache_key(fingerprint: str, schedule: "Schedule") -> str:
+    """:func:`predictor_cache_key` from an already computed fingerprint.
+
+    ``fingerprint`` must be ``model_fingerprint(forest, schedule)``; callers
+    that keep the fingerprint anyway derive the key from it instead of
+    hashing the forest a second time.
+    """
+    key = f"{schedule.backend}:{fingerprint}"
     if schedule.pgo is not None:
         key += f":pgo={schedule.pgo}"
     return key

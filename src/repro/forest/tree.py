@@ -126,11 +126,15 @@ class DecisionTree:
 
     def depths(self) -> np.ndarray:
         """Depth of each node; the root has depth 0."""
+        left = self.left.tolist()
+        right = self.right.tolist()
         depth = np.zeros(self.num_nodes, dtype=np.int32)
-        for node in self.iter_preorder():
-            if not self.is_leaf(node):
-                depth[self.left[node]] = depth[node] + 1
-                depth[self.right[node]] = depth[node] + 1
+        level = [0]
+        d = 0
+        while level:
+            depth[level] = d
+            level = [c for n in level if left[n] != NO_NODE for c in (left[n], right[n])]
+            d += 1
         return depth
 
     @property

@@ -90,11 +90,13 @@ def build_hir(
     """
     trace = trace or CompilationTrace()
     tiled_trees: list[TiledTree] = []
+    # Shape memo shared by this compile's trees only.
+    shape_memo: dict = {}
     with trace.span("tiling") as span:
         for tree in forest.trees:
             tiling = _tile_tree(tree, schedule)
             tiled = TiledTree.from_tiling(
-                tree, tiling, schedule.tile_size, validate=validate
+                tree, tiling, schedule.tile_size, validate=validate, shape_memo=shape_memo
             )
             tiled_trees.append(tiled)
 
@@ -124,11 +126,12 @@ def build_hir(
             reorder_span.stats["pgo"] = decision.describe()
 
     with trace.span("shape-registry"):
+        # Ids follow first appearance (tree order, then tile order).
         registry = ShapeRegistry(schedule.tile_size)
         for tiled in tiled_trees:
-            for tile in tiled.tiles:
-                if tile.shape is not None:
-                    registry.register(tile.shape)
+            for shape in dict.fromkeys(tile.shape for tile in tiled.tiles):
+                if shape is not None:
+                    registry.register(shape)
         lut = registry.build_lut()
     module = HIRModule(
         forest=forest,
@@ -140,8 +143,10 @@ def build_hir(
     )
     # Stats are collected after construction so each span reports on the
     # *final* module state its transformation produced (padding mutates the
-    # tilings in place; the tiling span still excludes dummy tiles).
-    span.stats.update(tiling_stats(module))
-    pad_span.stats.update(padding_stats(module))
-    reorder_span.stats.update(reorder_stats(module))
+    # tilings in place; the tiling span still excludes dummy tiles). Their
+    # cost is timed in a span of its own.
+    with trace.span("stats"):
+        span.stats.update(tiling_stats(module))
+        pad_span.stats.update(padding_stats(module))
+        reorder_span.stats.update(reorder_stats(module))
     return module

@@ -42,14 +42,15 @@ def pad_to_uniform_depth(tiled: TiledTree, max_slack: int | None = None) -> bool
     """
     if tiled.root.is_leaf:
         return True
-    target = tiled.max_leaf_depth
-    slack = target - tiled.min_leaf_depth
+    leaves = tiled.leaf_tiles()
+    target = max(t.depth for t in leaves)
+    slack = target - min(t.depth for t in leaves)
     if slack == 0:
         return True
     if max_slack is not None and slack > max_slack:
         return False
-    shallow = [t.tile_id for t in tiled.leaf_tiles() if t.depth < target]
-    for tile_id in shallow:
-        tiled.insert_dummy_chain(tile_id, target - tiled.tiles[tile_id].depth)
-    assert tiled.is_uniform_depth
+    for tile in leaves:
+        if tile.depth < target:
+            tiled.insert_dummy_chain(tile.tile_id, target - tile.depth)
+    assert all(t.depth == target for t in leaves)
     return True

@@ -55,16 +55,17 @@ class TreeGroup:
         return len(self.tree_indices)
 
 
-def _group_stats(tiled_trees: list[TiledTree], indices: list[int], gid: int) -> TreeGroup:
-    members = [tiled_trees[i] for i in indices]
-    depth = max(t.max_leaf_depth for t in members)
-    uniform = all(t.is_uniform_depth and t.max_leaf_depth == depth for t in members)
+def _group_stats(
+    depth_ranges: list[tuple[int, int]], indices: list[int], gid: int
+) -> TreeGroup:
+    ranges = [depth_ranges[i] for i in indices]
+    depth = max(high for _, high in ranges)
     return TreeGroup(
         group_id=gid,
         tree_indices=list(indices),
         depth=depth,
-        uniform=uniform,
-        min_leaf_depth=min(t.min_leaf_depth for t in members),
+        uniform=all(low == high == depth for low, high in ranges),
+        min_leaf_depth=min(low for low, _ in ranges),
     )
 
 
@@ -82,27 +83,25 @@ def reorder_trees(
     together. Disabled, every tree is its own group in original order — the
     configuration used by the scalar baseline.
     """
+    ranges = [tiled.leaf_depth_range() for tiled in tiled_trees]
     if not enabled:
-        return [
-            _group_stats(tiled_trees, [i], gid)
-            for gid, i in enumerate(range(len(tiled_trees)))
-        ]
-    order = sorted(range(len(tiled_trees)), key=lambda i: tiled_trees[i].max_leaf_depth)
+        return [_group_stats(ranges, [i], gid) for gid, i in enumerate(range(len(tiled_trees)))]
+    order = sorted(range(len(tiled_trees)), key=lambda i: ranges[i][1])
     if merge:
         # Depth-0 (single-leaf) trees fold into compile-time constants and
         # must not share buffers with walking trees.
-        trivial = [i for i in order if tiled_trees[i].max_leaf_depth == 0]
-        walking = [i for i in order if tiled_trees[i].max_leaf_depth > 0]
+        trivial = [i for i in order if ranges[i][1] == 0]
+        walking = [i for i in order if ranges[i][1] > 0]
         groups = []
         if trivial:
-            groups.append(_group_stats(tiled_trees, trivial, len(groups)))
+            groups.append(_group_stats(ranges, trivial, len(groups)))
         if walking:
-            groups.append(_group_stats(tiled_trees, walking, len(groups)))
+            groups.append(_group_stats(ranges, walking, len(groups)))
         return groups
     by_depth: dict[int, list[int]] = {}
     for i in order:
-        by_depth.setdefault(tiled_trees[i].max_leaf_depth, []).append(i)
+        by_depth.setdefault(ranges[i][1], []).append(i)
     groups = []
     for gid, depth in enumerate(sorted(by_depth)):
-        groups.append(_group_stats(tiled_trees, by_depth[depth], gid))
+        groups.append(_group_stats(ranges, by_depth[depth], gid))
     return groups

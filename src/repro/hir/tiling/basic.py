@@ -11,20 +11,20 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.forest.tree import DecisionTree
+from repro.forest.tree import NO_NODE, DecisionTree
 
 
-def _level_order_tile(tree: DecisionTree, root: int, tile_size: int) -> list[int]:
+def _level_order_tile(left: list[int], right: list[int], root: int, tile_size: int) -> list[int]:
     """Pick up to ``tile_size`` non-leaf nodes from ``root`` in level order."""
     tile: list[int] = []
     queue: deque[int] = deque([root])
     while queue and len(tile) < tile_size:
         node = queue.popleft()
-        if tree.is_leaf(node):
+        if left[node] == NO_NODE:
             continue
         tile.append(node)
-        queue.append(int(tree.left[node]))
-        queue.append(int(tree.right[node]))
+        queue.append(left[node])
+        queue.append(right[node])
     return tile
 
 
@@ -34,18 +34,28 @@ def basic_tiling(tree: DecisionTree, tile_size: int) -> list[list[int]]:
     Leaves are excluded (they implicitly form their own tiles). The returned
     tiling satisfies all four validity constraints of Section III-B1.
     """
-    if tree.is_leaf(0):
+    left = tree.left.tolist()
+    right = tree.right.tolist()
+    if left[0] == NO_NODE:
         return []
     tiles: list[list[int]] = []
     pending: deque[int] = deque([0])
     while pending:
-        root = pending.popleft()
-        tile = _level_order_tile(tree, root, tile_size)
+        tile = _level_order_tile(left, right, pending.popleft(), tile_size)
         tiles.append(tile)
-        members = set(tile)
-        for node in tile:
-            for child in tree.children(node):
-                child = int(child)
-                if child not in members and not tree.is_leaf(child):
-                    pending.append(child)
+        pending.extend(out_tile_roots(left, right, tile))
     return tiles
+
+
+def out_tile_roots(left: list[int], right: list[int], tile: list[int]) -> list[int]:
+    """Internal nodes the out-edges of ``tile`` point to, in tile order.
+
+    Those are the roots of the next tiles both tiling algorithms grow.
+    """
+    members = set(tile)
+    return [
+        child
+        for node in tile
+        for child in (left[node], right[node])
+        if child not in members and left[child] != NO_NODE
+    ]

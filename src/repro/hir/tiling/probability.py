@@ -14,12 +14,13 @@ from collections import deque
 import numpy as np
 
 from repro.errors import TilingError
-from repro.forest.tree import DecisionTree
 from repro.forest.statistics import uniform_node_probabilities
+from repro.forest.tree import NO_NODE, DecisionTree
+from repro.hir.tiling.basic import out_tile_roots
 
 
 def _grow_tile(
-    tree: DecisionTree, root: int, tile_size: int, prob: np.ndarray
+    left: list[int], right: list[int], root: int, tile_size: int, prob: list[float]
 ) -> list[int]:
     """Grow one tile greedily by max-probability frontier expansion."""
     tile = [root]
@@ -28,14 +29,14 @@ def _grow_tile(
         best = -1
         best_p = -1.0
         for node in tile:
-            for child in tree.children(node):
-                child = int(child)
-                if child in members or tree.is_leaf(child):
+            for child in (left[node], right[node]):
+                if child in members or left[child] == NO_NODE:
                     continue
                 # Deterministic tie-break on node id keeps tilings stable.
-                if prob[child] > best_p or (prob[child] == best_p and child < best):
+                p = prob[child]
+                if p > best_p or (p == best_p and child < best):
                     best = child
-                    best_p = float(prob[child])
+                    best_p = p
         if best < 0:
             break
         tile.append(best)
@@ -65,16 +66,13 @@ def probability_tiling(
     if prob.shape != (tree.num_nodes,):
         raise TilingError("probability array shape does not match the tree")
 
+    prob = prob.tolist()
+    left = tree.left.tolist()
+    right = tree.right.tolist()
     tiles: list[list[int]] = []
     pending: deque[int] = deque([0])
     while pending:
-        root = pending.popleft()
-        tile = _grow_tile(tree, root, tile_size, prob)
+        tile = _grow_tile(left, right, pending.popleft(), tile_size, prob)
         tiles.append(tile)
-        members = set(tile)
-        for node in tile:
-            for child in tree.children(node):
-                child = int(child)
-                if child not in members and not tree.is_leaf(child):
-                    pending.append(child)
+        pending.extend(out_tile_roots(left, right, tile))
     return tiles

@@ -209,43 +209,86 @@ def shape_key_of_tile(tree, tile_nodes: list[int]) -> tuple[ShapeKey, list[int]]
         The canonical :data:`ShapeKey` and the tile's node ids re-ordered
         into intra-tile level order (the order the shape indices refer to).
     """
-    members = set(tile_nodes)
+    members = {int(n) for n in tile_nodes}
+    left = {n: int(tree.left[n]) for n in members}
+    right = {n: int(tree.right[n]) for n in members}
+    return canonical_tile(left, right, members)
+
+
+def canonical_tile(left, right, members: set[int]) -> tuple[ShapeKey, list[int]]:
+    """:func:`shape_key_of_tile` over plain child lookups.
+
+    ``left[n]`` / ``right[n]`` give the children of every member node ``n``
+    (a per-tree list from ``tree.left.tolist()``, or a dict over the
+    members); ``members`` is the tile's node-id set.
+    """
     if not members:
         raise TilingError("tile has no nodes")
-    # Find the tile root: the unique member whose parent is not in the tile.
-    child_members = set()
-    for n in members:
-        for c in tree.children(n):
-            if c in members:
-                child_members.add(c)
-    roots = members - child_members
+    # The tile root is the unique member that is no member's child.
+    roots = members.difference(map(left.__getitem__, members), map(right.__getitem__, members))
     if len(roots) != 1:
         raise TilingError(f"tile is not a connected subtree (roots={sorted(roots)})")
-    root = roots.pop()
-    # Level-order within the tile.
-    from collections import deque
-
-    ordered: list[int] = []
-    queue = deque([root])
-    while queue:
-        n = queue.popleft()
-        ordered.append(n)
-        for c in tree.children(n):
-            if c in members:
-                queue.append(c)
-    if len(ordered) != len(members):
-        raise TilingError("tile is not connected")
-    intra = {n: i for i, n in enumerate(ordered)}
+    # Level order within the tile (the list doubles as the BFS queue); a
+    # child's intra-tile index is its position when it is queued.
+    ordered = [roots.pop()]
     shape = []
     for n in ordered:
-        left, right = tree.children(n)
-        shape.append(
-            (
-                intra[left] if left in members else -1,
-                intra[right] if right in members else -1,
-            )
-        )
+        child = left[n]
+        if child in members:
+            left_index = len(ordered)
+            ordered.append(child)
+        else:
+            left_index = -1
+        child = right[n]
+        if child in members:
+            shape.append((left_index, len(ordered)))
+            ordered.append(child)
+        else:
+            shape.append((left_index, -1))
+    if len(ordered) != len(members):
+        raise TilingError("tile is not connected")
     return tuple(shape), ordered
+
+
+def lut_rows(shapes: list[ShapeKey], width: int) -> np.ndarray:
+    """Traversal-LUT rows of ``shapes`` over all ``2**width`` outcome patterns.
+
+    Vectorised over shapes and patterns. Each shape gets one transition
+    table over walk states ``0 .. d-1`` (tile nodes; ``d`` is the largest
+    shape size) and ``d + e`` (left the tile through out-edge ``e``, an
+    absorbing state); then every (shape, pattern) walk advances together,
+    one numpy step per tile level. A walk inside a ``k``-node shape visits
+    at most ``k`` nodes and reads only the low ``k`` pattern bits, so rows
+    equal :func:`shape_child_for_bits` repeated over the ignored high bits.
+    :data:`DUMMY_SHAPE` rows are all zeros.
+    """
+    lut = np.zeros((len(shapes), 1 << width), dtype=np.int8)
+    real = [row for row, shape in enumerate(shapes) if shape != DUMMY_SHAPE]
+    if not real:
+        return lut
+    depth = max(len(shapes[row]) for row in real)
+    states = 2 * depth + 1
+    # table[state][bit]: bit 1 (predicate true) follows the left edge.
+    tables = []
+    for row in real:
+        shape = shapes[row]
+        table = [[state, state] for state in range(states)]
+        for edge, (node, side) in enumerate(out_edge_order(shape)):
+            table[node][side == "L"] = depth + edge
+        for node, (left, right) in enumerate(shape):
+            if left >= 0:
+                table[node][1] = left
+            if right >= 0:
+                table[node][0] = right
+        tables.append(table)
+    flat = np.asarray(tables, dtype=np.int32).reshape(-1)
+    base = (np.arange(len(real), dtype=np.int32) * states)[:, None]
+    patterns = np.arange(1 << width, dtype=np.int32)
+    state = np.zeros((len(real), 1 << width), dtype=np.int32)
+    for _ in range(depth):
+        state = flat.take((base + state) * 2 + ((patterns >> state) & 1))
+    lut[real] = state - depth
+    return lut
 
 
 class ShapeRegistry:
@@ -268,19 +311,20 @@ class ShapeRegistry:
 
         :data:`DUMMY_SHAPE` is accepted as a reserved key whose LUT row is
         all zeros (dummy tiles always route to child 0, data-independently).
+        A shape is checked once, when first seen; a rejected shape gets no
+        id, so registering it again raises again.
         """
-        if shape == DUMMY_SHAPE:
-            if shape not in self._ids:
-                self._ids[shape] = len(self._ids)
-            return self._ids[shape]
-        if len(shape) > self.tile_size:
-            raise TilingError(
-                f"shape has {len(shape)} nodes but tile size is {self.tile_size}"
-            )
-        validate_shape(shape)
-        if shape not in self._ids:
-            self._ids[shape] = len(self._ids)
-        return self._ids[shape]
+        sid = self._ids.get(shape)
+        if sid is not None:
+            return sid
+        if shape != DUMMY_SHAPE:
+            if len(shape) > self.tile_size:
+                raise TilingError(
+                    f"shape has {len(shape)} nodes but tile size is {self.tile_size}"
+                )
+            validate_shape(shape)
+        sid = self._ids[shape] = len(self._ids)
+        return sid
 
     @property
     def num_shapes(self) -> int:
@@ -302,22 +346,40 @@ class ShapeRegistry:
         to a machine-friendly lane count (power of two) pass the padded
         width. For shapes smaller than the width the unused high bits are
         ignored (padding nodes always compare true, but the child computed
-        from the real nodes' bits is correct regardless).
+        from the real nodes' bits is correct regardless). An empty registry
+        gets one all-zeros row.
         """
+        width = self._check_width(width)
+        shapes = self.shapes()
+        if not shapes:
+            return np.zeros((1, 1 << width), dtype=np.int8)
+        return lut_rows(shapes, width)
+
+    def widen_lut(self, lut: np.ndarray, width: int) -> np.ndarray:
+        """``lut`` (an earlier :meth:`build_lut` of this registry) at ``width``.
+
+        Equals ``build_lut(width)`` without recomputing the rows ``lut``
+        already holds: a row depends only on the low ``k <= tile_size``
+        pattern bits, so column ``c`` of the wider table is column
+        ``c & (lut columns - 1)`` of ``lut``. Shapes registered since
+        ``lut`` was built (layouts add :data:`DUMMY_SHAPE`) get fresh rows.
+        """
+        width = self._check_width(width)
+        columns = np.arange(1 << width) & (lut.shape[1] - 1)
+        # A one-row table may be an empty registry's placeholder row;
+        # recomputing one row costs nothing.
+        known = lut.shape[0] if lut.shape[0] > 1 else 0
+        shapes = self.shapes()
+        # take() keeps the table row-major, as a fresh build is; lut[:, columns]
+        # would return it column-major.
+        if len(shapes) <= known:
+            return lut.take(columns, axis=1)
+        return np.concatenate(
+            [lut[:known].take(columns, axis=1), lut_rows(shapes[known:], width)]
+        )
+
+    def _check_width(self, width: int | None) -> int:
         width = self.tile_size if width is None else width
         if width < self.tile_size:
             raise TilingError("LUT width must be >= the tile size")
-        n_patterns = 1 << width
-        lut = np.zeros((max(self.num_shapes, 1), n_patterns), dtype=np.int8)
-        for shape, sid in self._ids.items():
-            if shape == DUMMY_SHAPE:
-                continue  # row stays zeros: every pattern routes to child 0
-            k = len(shape)
-            # Child index depends only on the low k bits; compute those once
-            # and broadcast over the ignored high bits.
-            base = np.empty(1 << k, dtype=np.int8)
-            for bits in range(1 << k):
-                base[bits] = shape_child_for_bits(shape, bits)
-            reps = n_patterns >> k
-            lut[sid] = np.tile(base, reps)
-        return lut
+        return width

@@ -17,18 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TilingError
-from repro.forest.tree import DecisionTree
+from repro.forest.tree import NO_NODE, DecisionTree
 from repro.hir.tiling.shapes import (
     ShapeKey,
+    canonical_tile,
     left_chain_shape,
     out_edge_order,
     shape_child_for_bits,
-    shape_key_of_tile,
 )
 from repro.hir.tiling.validity import check_valid_tiling
 
 
-@dataclass
+@dataclass(slots=True)
 class Tile:
     """One tile of a tiled tree.
 
@@ -94,24 +94,30 @@ class TiledTree:
         internal_tiles: list[list[int]],
         tile_size: int,
         validate: bool = True,
+        shape_memo: dict | None = None,
     ) -> "TiledTree":
         """Materialize a :class:`TiledTree` from internal-node tile groups.
 
         ``internal_tiles`` partitions the tree's internal nodes; leaf tiles
         are created implicitly. When ``validate`` is set the four validity
-        constraints of Section III-B1 are checked first.
+        constraints of Section III-B1 are checked first. ``shape_memo``
+        maps each shape seen so far to ``(shape, out_edge_order(shape))``;
+        sharing one across the trees of a compile computes each out-edge
+        order once and lets every tile of a shape hold the same key object.
         """
         if validate:
             check_valid_tiling(tree, internal_tiles, tile_size)
-        prob = tree.node_probability
+        left = tree.left.tolist()
+        right = tree.right.tolist()
+        prob = None if tree.node_probability is None else tree.node_probability.tolist()
 
-        if tree.is_leaf(0):
+        if left[0] == NO_NODE:
             leaf = Tile(
                 tile_id=0,
                 nodes=(0,),
                 shape=None,
                 is_leaf=True,
-                probability=1.0 if prob is None else float(prob[0]),
+                probability=1.0 if prob is None else prob[0],
             )
             return cls(tree, tile_size, [leaf])
 
@@ -122,63 +128,57 @@ class TiledTree:
                 group_of_node[n] = gid
 
         # Canonicalize each group: shape + ordered nodes + child node ids.
+        if shape_memo is None:
+            shape_memo = {}
         shapes: list[ShapeKey] = []
-        ordered_nodes: list[list[int]] = []
+        ordered_nodes: list[tuple[int, ...]] = []
         child_nodes: list[list[int]] = []
-        group_root: list[int] = []
         for nodes in internal_tiles:
-            shape, ordered = shape_key_of_tile(tree, nodes)
+            shape, ordered = canonical_tile(left, right, set(nodes))
+            known = shape_memo.get(shape)
+            if known is None:
+                known = shape_memo[shape] = (shape, out_edge_order(shape))
+            shape, edges = known
             shapes.append(shape)
-            ordered_nodes.append(ordered)
-            group_root.append(ordered[0])
-            kids = []
-            for intra, side in out_edge_order(shape):
-                node = ordered[intra]
-                child = tree.left[node] if side == "L" else tree.right[node]
-                kids.append(int(child))
-            child_nodes.append(kids)
+            ordered_nodes.append(tuple(ordered))
+            child_nodes.append(
+                [
+                    left[ordered[intra]] if side == "L" else right[ordered[intra]]
+                    for intra, side in edges
+                ]
+            )
 
         # BFS from the group containing the root node; assign tile ids.
         root_group = group_of_node[0]
-        tiles: list[Tile] = []
-
-        def new_tile(**kwargs) -> Tile:
-            tile = Tile(tile_id=len(tiles), **kwargs)
-            tiles.append(tile)
-            return tile
-
-        queue: deque[tuple[int, int, int]] = deque()  # (group_or_node, parent, depth)
-        root_tile = new_tile(
-            nodes=tuple(ordered_nodes[root_group]),
+        root = Tile(
+            tile_id=0,
+            nodes=ordered_nodes[root_group],
             shape=shapes[root_group],
-            probability=1.0 if prob is None else float(prob[0]),
+            probability=1.0 if prob is None else prob[0],
         )
-        queue.append((root_group, root_tile.tile_id, 0))
+        tiles = [root]
+        queue: deque[tuple[int, Tile]] = deque([(root_group, root)])
         while queue:
-            gid, tile_id, depth = queue.popleft()
-            tile = tiles[tile_id]
+            gid, parent = queue.popleft()
+            parent_id = parent.tile_id
+            depth = parent.depth + 1
+            kids = parent.children
             for child_node in child_nodes[gid]:
-                p = 0.0 if prob is None else float(prob[child_node])
-                if tree.is_leaf(child_node):
-                    child = new_tile(
-                        nodes=(child_node,),
-                        shape=None,
-                        is_leaf=True,
-                        parent=tile_id,
-                        depth=depth + 1,
-                        probability=p,
-                    )
+                # Once per tile, so fields go positionally (tile_id, nodes,
+                # shape, children, parent, depth, probability, is_leaf):
+                # keyword arguments cost twice as much here.
+                p = 0.0 if prob is None else prob[child_node]
+                child_id = len(tiles)
+                if left[child_node] == NO_NODE:
+                    tile = Tile(child_id, (child_node,), None, [], parent_id, depth, p, True)
                 else:
                     cgid = group_of_node[child_node]
-                    child = new_tile(
-                        nodes=tuple(ordered_nodes[cgid]),
-                        shape=shapes[cgid],
-                        parent=tile_id,
-                        depth=depth + 1,
-                        probability=p,
+                    tile = Tile(
+                        child_id, ordered_nodes[cgid], shapes[cgid], [], parent_id, depth, p
                     )
-                    queue.append((cgid, child.tile_id, depth + 1))
-                tile.children.append(child.tile_id)
+                    queue.append((cgid, tile))
+                tiles.append(tile)
+                kids.append(child_id)
         return cls(tree, tile_size, tiles)
 
     # ------------------------------------------------------------------
@@ -198,19 +198,25 @@ class TiledTree:
     def internal_tiles(self) -> list[Tile]:
         return [t for t in self.tiles if not t.is_leaf]
 
+    def leaf_depth_range(self) -> tuple[int, int]:
+        """``(min_leaf_depth, max_leaf_depth)`` in one pass over the tiles."""
+        depths = [t.depth for t in self.tiles if t.is_leaf]
+        return min(depths), max(depths)
+
     @property
     def max_leaf_depth(self) -> int:
         """Depth of the deepest leaf tile (= number of tile evaluations)."""
-        return max(t.depth for t in self.leaf_tiles())
+        return self.leaf_depth_range()[1]
 
     @property
     def min_leaf_depth(self) -> int:
-        return min(t.depth for t in self.leaf_tiles())
+        return self.leaf_depth_range()[0]
 
     @property
     def is_uniform_depth(self) -> bool:
         """True when every leaf tile sits at the same depth (padded trees)."""
-        return self.max_leaf_depth == self.min_leaf_depth
+        low, high = self.leaf_depth_range()
+        return low == high
 
     def expected_walk_length(self) -> float:
         """Expected number of tile evaluations per inference.
@@ -291,11 +297,12 @@ class TiledTree:
             raise TilingError("cannot pad the root tile")
         prev_id = parent_id
         slot = self.tiles[parent_id].children.index(leaf_tile_id)
+        shape = left_chain_shape(self.tile_size)
         for i in range(length):
             dummy = Tile(
                 tile_id=len(self.tiles),
                 nodes=(),
-                shape=left_chain_shape(self.tile_size),
+                shape=shape,
                 parent=prev_id,
                 depth=leaf.depth + i,
                 probability=leaf.probability,

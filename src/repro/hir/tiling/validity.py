@@ -18,7 +18,7 @@ hypothesis-generated random trees).
 from __future__ import annotations
 
 from repro.errors import TilingError
-from repro.forest.tree import DecisionTree
+from repro.forest.tree import NO_NODE, DecisionTree
 
 
 def check_valid_tiling(
@@ -27,13 +27,15 @@ def check_valid_tiling(
     """Validate ``internal_tiles`` as a tiling of ``tree``; raise on violation."""
     if tile_size < 1:
         raise TilingError("tile size must be >= 1")
-    if tree.is_leaf(0):
+    left = tree.left.tolist()
+    right = tree.right.tolist()
+    if left[0] == NO_NODE:
         if internal_tiles:
             raise TilingError("single-leaf tree must have an empty internal tiling")
         return
 
-    internal = set(int(n) for n in tree.internal_nodes())
-    leaves = set(int(n) for n in tree.leaves())
+    internal = {n for n, child in enumerate(left) if child != NO_NODE}
+    leaves = {n for n, child in enumerate(left) if child == NO_NODE}
 
     seen: set[int] = set()
     for i, nodes in enumerate(internal_tiles):
@@ -54,22 +56,27 @@ def check_valid_tiling(
         missing = sorted(internal - seen)[:5]
         raise TilingError(f"partitioning violated: internal nodes {missing} not tiled")
 
+    parent = [NO_NODE] * len(left)
+    for n in internal:
+        parent[left[n]] = n
+        parent[right[n]] = n
     for i, nodes in enumerate(internal_tiles):
-        members = set(int(n) for n in nodes)
-        _check_connected(tree, members, i)
+        members = set(map(int, nodes))
+        _check_connected(left, right, parent, members, i)
         if len(members) < tile_size:
-            _check_maximal(tree, members, i)
+            _check_maximal(left, right, members, i)
 
 
-def _check_connected(tree: DecisionTree, members: set[int], tile_index: int) -> None:
+def _check_connected(
+    left: list[int], right: list[int], parent: list[int], members: set[int], tile_index: int
+) -> None:
     """Connectedness: the tile must induce a connected subtree.
 
     In a tree, a node set is connected iff exactly one member's parent lies
     outside the set (the tile root) and every member is reachable from it by
     in-set child edges.
     """
-    parents = tree.parents()
-    roots = [n for n in members if int(parents[n]) not in members]
+    roots = [n for n in members if parent[n] not in members]
     if len(roots) != 1:
         raise TilingError(
             f"connectedness violated in tile {tile_index}: {len(roots)} tile roots"
@@ -78,20 +85,20 @@ def _check_connected(tree: DecisionTree, members: set[int], tile_index: int) -> 
     stack = [roots[0]]
     while stack:
         n = stack.pop()
-        for c in tree.children(n):
+        for c in (left[n], right[n]):
             if c in members and c not in reached:
-                reached.add(int(c))
-                stack.append(int(c))
+                reached.add(c)
+                stack.append(c)
     if reached != members:
         raise TilingError(f"connectedness violated in tile {tile_index}")
 
 
-def _check_maximal(tree: DecisionTree, members: set[int], tile_index: int) -> None:
+def _check_maximal(left: list[int], right: list[int], members: set[int], tile_index: int) -> None:
     """Maximal tiling: undersized tiles may only border leaves."""
     for n in members:
-        for c in tree.children(n):
-            if c not in members and not tree.is_leaf(int(c)):
+        for c in (left[n], right[n]):
+            if c not in members and left[c] != NO_NODE:
                 raise TilingError(
                     f"maximality violated: tile {tile_index} has size {len(members)} "
-                    f"< tile size but borders non-leaf node {int(c)}"
+                    f"< tile size but borders non-leaf node {c}"
                 )

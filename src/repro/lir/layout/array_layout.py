@@ -22,6 +22,7 @@ import numpy as np
 from repro.errors import LayoutError
 from repro.hir.tiling.shapes import DUMMY_SHAPE, ShapeRegistry, storage_width
 from repro.hir.tiling.tile import TiledTree
+from repro.lir.layout.sparse_layout import tile_node_index
 
 #: shape-id sentinel for leaf slots
 LEAF_SLOT = -1
@@ -78,16 +79,17 @@ class ArrayGroupLayout:
         )
 
 
-def _slot_assignment(tiled: TiledTree) -> dict[int, int]:
-    """Positional slot for every tile: child i of slot n -> (n_t+1)n + i + 1."""
+def _slot_assignment(tiled: TiledTree) -> list[int]:
+    """Positional slot of every tile id: child i of slot n -> (n_t+1)n + i + 1."""
     arity = tiled.tile_size + 1
-    slots = {0: 0}
+    tiles = tiled.tiles
+    slots = [0] * len(tiles)
     stack = [0]
     while stack:
         tid = stack.pop()
-        base = slots[tid] * arity
-        for i, child in enumerate(tiled.tiles[tid].children):
-            slots[child] = base + i + 1
+        base = slots[tid] * arity + 1
+        for i, child in enumerate(tiles[tid].children):
+            slots[child] = base + i
             stack.append(child)
     return slots
 
@@ -114,7 +116,7 @@ def build_array_layout(
         if tiled.tile_size != nt:
             raise LayoutError("mixed tile sizes within one group")
         slots = _slot_assignment(tiled)
-        top = max(slots.values()) + 1
+        top = max(slots) + 1
         if top > max_slots:
             raise LayoutError(
                 f"array layout for tree {tiled.tree.tree_id} needs {top} slots "
@@ -133,20 +135,20 @@ def build_array_layout(
     for lane, (idx, slots) in enumerate(zip(tree_indices, assignments)):
         tiled = tiled_trees[idx]
         tree = tiled.tree
-        for tile in tiled.tiles:
-            slot = slots[tile.tile_id]
-            if tile.is_leaf:
-                shape_ids[lane, slot] = LEAF_SLOT
-                leaf_values[lane, slot] = tree.value[tile.nodes[0]]
-                continue
-            # Dummy tiles route to child 0 through the reserved all-zeros
-            # LUT row, independent of the +inf / feature-0 fill.
-            shape_ids[lane, slot] = registry.register(
-                DUMMY_SHAPE if tile.is_dummy else tile.shape
-            )
-            for pos, node in enumerate(tile.nodes):
-                thresholds[lane, slot, pos] = tree.threshold[node]
-                features[lane, slot, pos] = tree.feature[node]
+        leaf_tiles = [t for t in tiled.tiles if t.is_leaf]
+        leaf_slots = [slots[t.tile_id] for t in leaf_tiles]
+        shape_ids[lane, leaf_slots] = LEAF_SLOT
+        leaf_values[lane, leaf_slots] = tree.value[[t.nodes[0] for t in leaf_tiles]]
+        # Dummy tiles route to child 0 through the reserved all-zeros
+        # LUT row, independent of the +inf / feature-0 fill.
+        walk_tiles = [t for t in tiled.tiles if not t.is_leaf]
+        walk_slots = np.array([slots[t.tile_id] for t in walk_tiles], dtype=np.int64)
+        shape_ids[lane, walk_slots] = [
+            registry.register(DUMMY_SHAPE if t.is_dummy else t.shape) for t in walk_tiles
+        ]
+        tile, position, node = tile_node_index([t.nodes for t in walk_tiles])
+        thresholds[lane, walk_slots[tile], position] = tree.threshold[node]
+        features[lane, walk_slots[tile], position] = tree.feature[node]
     return ArrayGroupLayout(
         tile_size=nt,
         tree_indices=list(tree_indices),

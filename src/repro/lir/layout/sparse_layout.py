@@ -20,8 +20,8 @@ accounting (≈6.8x smaller than the array layout at tile size 8, within
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -84,62 +84,65 @@ class SparseGroupLayout:
         )
 
 
-def _flatten_tree(tiled: TiledTree) -> tuple[list, list, int]:
+def _flatten_tree(tiled: TiledTree) -> tuple[list, list, list, list, int]:
     """Flatten one tiled tree into sparse records.
 
-    Returns ``(tile_records, leaf_values, hops)`` where each tile record is
-    ``(shape_key_or_None_for_dummy, nodes, child_base)``; BFS order keeps
-    every tile's children contiguous.
+    Returns ``(shapes, nodes, bases, leaf_values, hops)``: per record its
+    shape key (:data:`DUMMY_SHAPE` for dummy and hop tiles), node ids and
+    child base, then the leaf value array and the number of hops added.
+    Records are laid out breadth-first, which keeps every tile's children
+    contiguous.
     """
-    tree = tiled.tree
-    records: list[dict] = []
+    tiles = tiled.tiles
+    value = tiled.tree.value.tolist()
+    shapes: list = []
+    nodes: list[tuple[int, ...]] = []
+    bases: list[int] = []
     leaf_values: list[float] = []
     hops = 0
-
-    # Queue entries are ("tile", tile_id) or ("hop", leaf_tile_id); ids into
-    # `records` are assigned when a tile is appended, children contiguously
-    # when their parent is processed.
-    queue: deque[tuple[str, int]] = deque()
-
-    def append_record(kind: str, tid: int) -> int:
-        tile = tiled.tiles[tid]
-        if kind == "hop" or tile.is_dummy:
-            records.append({"shape": DUMMY_SHAPE, "nodes": (), "base": 0})
+    # (tile id, is a hop) per record, in record order: a record is queued
+    # when its parent is processed, so the list doubles as the BFS queue.
+    entries = [(0, False)]
+    for tid, hop in entries:
+        tile = tiles[tid]
+        if hop or tile.is_dummy:
+            shapes.append(DUMMY_SHAPE)
+            nodes.append(())
         else:
-            records.append({"shape": tile.shape, "nodes": tile.nodes, "base": 0})
-        return len(records) - 1
-
-    root_record = append_record("tile", 0)
-    queue.append(("tile", 0))
-    index_of = {("tile", 0): root_record}
-
-    while queue:
-        kind, tid = queue.popleft()
-        rec = records[index_of[(kind, tid)]]
-        tile = tiled.tiles[tid]
-        if kind == "hop":
+            shapes.append(tile.shape)
+            nodes.append(tile.nodes)
+        if hop:
             # A hop tile's single child is the original leaf's value.
-            rec["base"] = -(len(leaf_values)) - 1
-            leaf_values.append(float(tree.value[tile.nodes[0]]))
+            bases.append(-len(leaf_values) - 1)
+            leaf_values.append(value[tile.nodes[0]])
             continue
-        children = [tiled.tiles[c] for c in tile.children]
+        children = [tiles[c] for c in tile.children]
         if all(c.is_leaf for c in children):
-            rec["base"] = -(len(leaf_values)) - 1
-            for child in children:
-                leaf_values.append(float(tree.value[child.nodes[0]]))
+            bases.append(-len(leaf_values) - 1)
+            leaf_values.extend(value[c.nodes[0]] for c in children)
             continue
         # Mixed or all-tile children: every child must be a tile; leaf
         # children are promoted to hop tiles.
-        rec["base"] = len(records)
-        entries = []
+        bases.append(len(entries))
         for child in children:
-            entry = ("hop", child.tile_id) if child.is_leaf else ("tile", child.tile_id)
-            if child.is_leaf:
-                hops += 1
-            index_of[entry] = append_record(*entry)
-            entries.append(entry)
-        queue.extend(entries)
-    return records, leaf_values, hops
+            entries.append((child.tile_id, child.is_leaf))
+            hops += child.is_leaf
+    return shapes, nodes, bases, leaf_values, hops
+
+
+def tile_node_index(nodes: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tile, position, node)`` index arrays over every node of ``nodes``.
+
+    ``nodes[t]`` holds the node ids of tile ``t`` in lane order; the three
+    arrays address ``buffer[t, position] = tree_array[node]`` in one
+    fancy-indexed assignment.
+    """
+    sizes = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
+    tile = np.repeat(np.arange(len(nodes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    position = np.arange(tile.size) - np.repeat(starts, sizes)
+    node = np.fromiter(chain.from_iterable(nodes), dtype=np.int64, count=tile.size)
+    return tile, position, node
 
 
 def build_sparse_layout(
@@ -160,39 +163,41 @@ def build_sparse_layout(
         if tiled.tile_size != nt:
             raise LayoutError("mixed tile sizes within one group")
         if tiled.root.is_leaf:
-            per_tree.append(([], [float(tiled.tree.value[tiled.root.nodes[0]])], 0, True))
+            value = float(tiled.tree.value[tiled.root.nodes[0]])
+            per_tree.append(([], [], [], [value], True))
             continue
-        records, leaf_values, hops = _flatten_tree(tiled)
+        shapes, nodes, bases, leaf_values, hops = _flatten_tree(tiled)
         total_hops += hops
-        per_tree.append((records, leaf_values, hops, False))
+        per_tree.append((shapes, nodes, bases, leaf_values, False))
 
     k = len(tree_indices)
     width = storage_width(nt)
-    max_tiles = max(len(r) for r, _, _, _ in per_tree)
-    max_leaves = max(len(lv) for _, lv, _, _ in per_tree)
-    thresholds = np.full((k, max(max_tiles, 1), width), np.inf, dtype=np.float64)
-    features = np.zeros((k, max(max_tiles, 1), width), dtype=np.int32)
-    shape_ids = np.zeros((k, max(max_tiles, 1)), dtype=np.int16)
-    child_base = np.full((k, max(max_tiles, 1)), -1, dtype=np.int32)
+    max_tiles = max(max(len(rec[0]) for rec in per_tree), 1)
+    max_leaves = max(len(rec[3]) for rec in per_tree)
+    thresholds = np.full((k, max_tiles, width), np.inf, dtype=np.float64)
+    features = np.zeros((k, max_tiles, width), dtype=np.int32)
+    shape_ids = np.zeros((k, max_tiles), dtype=np.int16)
+    child_base = np.full((k, max_tiles), -1, dtype=np.int32)
     leaves = np.zeros((k, max_leaves), dtype=np.float64)
     num_tiles = np.zeros(k, dtype=np.int32)
     num_leaves = np.zeros(k, dtype=np.int32)
     root_leaf = np.zeros(k, dtype=bool)
 
-    for lane, (idx, (records, leaf_values, _, is_root_leaf)) in enumerate(
+    for lane, (idx, (shapes, nodes, bases, leaf_values, is_root_leaf)) in enumerate(
         zip(tree_indices, per_tree)
     ):
         tree = tiled_trees[idx].tree
         root_leaf[lane] = is_root_leaf
-        num_tiles[lane] = len(records)
+        num_tiles[lane] = len(shapes)
         num_leaves[lane] = len(leaf_values)
         leaves[lane, : len(leaf_values)] = leaf_values
-        for t, rec in enumerate(records):
-            shape_ids[lane, t] = registry.register(rec["shape"])
-            child_base[lane, t] = rec["base"]
-            for pos, node in enumerate(rec["nodes"]):
-                thresholds[lane, t, pos] = tree.threshold[node]
-                features[lane, t, pos] = tree.feature[node]
+        if not shapes:
+            continue
+        shape_ids[lane, : len(shapes)] = [registry.register(shape) for shape in shapes]
+        child_base[lane, : len(bases)] = bases
+        tile, position, node = tile_node_index(nodes)
+        thresholds[lane, tile, position] = tree.threshold[node]
+        features[lane, tile, position] = tree.feature[node]
     return SparseGroupLayout(
         tile_size=nt,
         tree_indices=list(tree_indices),

@@ -2,9 +2,10 @@
 
 For each tree group the schedule's layout is built (stacked across the
 group's trees); degenerate all-leaf groups are marked trivial so the
-backend can fold them into the base score accumulation. The LUT is rebuilt
-from the registry *after* layout construction because layouts may register
-additional shapes (the dummy chain shape used by hops and padding).
+backend can fold them into the base score accumulation. The LUT is the HIR
+table widened to the storage width, built *after* layout construction
+because layouts may register additional shapes (the reserved dummy shape
+used by hops and padding), whose rows are appended.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def lower_mir_to_lir(
                 )
             )
     with trace.span("lut"):
-        lut = hir.shape_registry.build_lut(width=storage_width(schedule.tile_size))
+        lut = hir.shape_registry.widen_lut(hir.lut, storage_width(schedule.tile_size))
     module = LIRModule(
         schedule=schedule,
         mir=mir,

@@ -44,7 +44,7 @@ def tiling_stats(hir) -> dict[str, Any]:
     tree's leaf-*tile* depth — their ratio is the walk-step compression the
     tiling bought. Dummy tiles are excluded here (padding owns them).
     """
-    shape_hist: Counter[str] = Counter()
+    shape_counts: Counter = Counter()
     tiles_per_tree: list[int] = []
     nodes_per_tile: list[int] = []
     depth_before: list[int] = []
@@ -53,17 +53,17 @@ def tiling_stats(hir) -> dict[str, Any]:
     for tiled in hir.tiled_trees:
         real = [t for t in tiled.tiles if not t.is_dummy and not t.is_leaf]
         tiles_per_tree.append(len(real))
-        for tile in real:
-            shape_hist[_shape_label(tile.shape)] += 1
-            nodes_per_tile.append(tile.num_nodes)
+        shape_counts.update(t.shape for t in real)
+        nodes_per_tile.extend(len(t.nodes) for t in real)
         depth_before.append(int(tiled.tree.max_depth))
         depth_after.append(max((t.depth for t in tiled.tiles if t.is_leaf), default=0))
         leaves_per_tree.append(int(tiled.tree.num_leaves))
+    shape_hist = {_shape_label(shape): n for shape, n in shape_counts.items()}
     return {
         "tile_size": hir.schedule.tile_size,
         "tiling": hir.schedule.tiling,
         "num_trees": len(hir.tiled_trees),
-        "tile_shape_hist": dict(shape_hist),
+        "tile_shape_hist": shape_hist,
         "distinct_shapes": len(shape_hist),
         "tiles_per_tree": distribution(tiles_per_tree),
         "nodes_per_tile": distribution(nodes_per_tile),
@@ -80,7 +80,7 @@ def padding_stats(hir) -> dict[str, Any]:
     padded_trees = 0
     uniform_trees = 0
     for tiled in hir.tiled_trees:
-        tree_dummy = sum(1 for t in tiled.tiles if t.is_dummy)
+        tree_dummy = sum(t.is_dummy for t in tiled.tiles)
         dummy += tree_dummy
         total += len(tiled.tiles)
         if tree_dummy:

@@ -18,8 +18,8 @@ import numpy as np
 from repro.api import compile_model
 from repro.backend.jit import (
     artifact_cache_key,
+    fingerprint_cache_key,
     model_fingerprint,
-    predictor_cache_key,
 )
 from repro.config import Schedule
 from repro.errors import CompilerError, ServingError
@@ -133,7 +133,7 @@ class InferenceSession:
             self.fingerprint = model_fingerprint(forest, self.schedule)
             # Backend-qualified: the same (forest, schedule) compiled under
             # two backends must not collide on one cache slot.
-            self.cache_key = predictor_cache_key(forest, self.schedule)
+            self.cache_key = fingerprint_cache_key(self.fingerprint, self.schedule)
             self.predictor, self.cache_hit = self.cache.get_or_compile(
                 self.cache_key, self._compile
             )
@@ -212,7 +212,7 @@ class InferenceSession:
                 )
             self.schedule = schedule
             self.fingerprint = model_fingerprint(self.forest, schedule)
-            self.cache_key = predictor_cache_key(self.forest, schedule)
+            self.cache_key = fingerprint_cache_key(self.fingerprint, schedule)
         self.predictor = predictor
         self.fallback_error = None
         self.metrics.record_hot_swap()

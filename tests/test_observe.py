@@ -52,6 +52,17 @@ class TestCompilationTrace:
         assert child_total <= hir.duration_s + 1e-6
         assert {c.name for c in hir.children} >= {"tiling", "padding", "reorder"}
 
+    def test_stats_span_covers_hir(self, deep_forest):
+        """IR statistics are timed in a ``stats`` span, so the child spans of
+        ``hir`` account for (nearly) all of it."""
+        coverage = []
+        for _ in range(3):  # best of three: a host hiccup can land in a gap
+            hir = compile_model(deep_forest, Schedule()).trace.find("hir")
+            names = [c.name for c in hir.children]
+            assert names == ["tiling", "padding", "reorder", "shape-registry", "stats"]
+            coverage.append(sum(c.duration_s for c in hir.children) / hir.duration_s)
+        assert max(coverage) >= 0.95
+
     def test_tiling_stats_recorded(self, trained_forest):
         trace = compile_model(trained_forest, Schedule(tile_size=8)).trace
         stats = trace.find("tiling").stats

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_forest_model
 from repro.api import serve_model
+from repro.backend.jit import predictor_cache_key
 from repro.config import Schedule
 from repro.errors import CodegenError, ExecutionError, ServingError
 from repro.forest.ensemble import Forest
@@ -392,6 +393,22 @@ class TestInferenceSession:
         session = InferenceSession(small_forest)
         with pytest.raises(ServingError, match="batching"):
             session.submit(np.zeros((1, small_forest.num_features)))
+
+    def test_registration_and_swap_hash_the_forest_once(self, small_forest, monkeypatch):
+        serialized = []
+        to_dict = Forest.to_dict
+        monkeypatch.setattr(
+            Forest, "to_dict", lambda self: serialized.append(self) or to_dict(self)
+        )
+        schedule = Schedule(tile_size=4)
+        session = InferenceSession(small_forest, schedule)
+        assert len(serialized) == 1
+        assert session.cache_key == predictor_cache_key(small_forest, schedule)
+        del serialized[:]
+        swapped = schedule.with_(tile_size=2, pgo=1)
+        session.swap_predictor(session.predictor, swapped)
+        assert len(serialized) == 1
+        assert session.cache_key == predictor_cache_key(small_forest, swapped)
 
     def test_serve_model_convenience(self, small_forest, small_rows):
         session = serve_model(small_forest, Schedule(tile_size=4))
