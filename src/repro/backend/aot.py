@@ -13,11 +13,12 @@ into a self-contained artifact directory::
                            (thresholds, feature indices, LUT, leaf values,
                            one-hot class matrices, ...)
 
-:func:`load_artifact` reconstitutes a ready executor from that directory in
-a fresh process **without invoking the compiler**: no HIR/MIR/LIR lowering
-runs, no tiling is computed — the loader reads buffers, rebuilds the
-namespace, byte-compiles the stored source and wraps it in an
-:class:`ArtifactPredictor` (a :class:`~repro.backend.predictor.KernelExecutor`).
+The directory is one stored :class:`~repro.backend.image.ModelImage`.
+:func:`load_artifact` reconstitutes a ready executor from it in a fresh
+process **without invoking the compiler**: no HIR/MIR/LIR lowering runs,
+no tiling is computed — the loader reads the buffers back into an image
+and binds it (:func:`~repro.backend.predictor.load_image`) into a
+:class:`~repro.backend.predictor.KernelExecutor`.
 That is the cold-start-free deploy path: warm workers load artifacts in
 milliseconds where a compile costs hundreds (``benchmarks/test_bench_aot.py``).
 
@@ -36,21 +37,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import weakref
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from repro.backend.codegen import build_namespace
-from repro.backend.jit import compile_source, model_fingerprint
-from repro.backend.predictor import KernelExecutor, Predictor
-from repro.backend.registry import Backend, register_backend
+from repro.backend.numpy_jit import NumpyJitBackend
+from repro.backend.predictor import KernelExecutor, Predictor, load_image
+from repro.backend.registry import register_backend
 from repro.config import Schedule
 from repro.errors import ArtifactError
-from repro.lir.memory import ArenaSpec, ScratchArena
 from repro.observe import registry as observe_registry
-from repro.observe.profile import ProfileRecorder
 
 #: bump on any incompatible change to the artifact layout or manifest
 #: schema; loaders reject every other version (see DESIGN.md for the
@@ -63,10 +59,6 @@ MANIFEST_NAME = "MANIFEST.json"
 KERNEL_NAME = "kernel.py"
 SCHEDULE_NAME = "schedule.json"
 BUFFER_DIR = "buffers"
-
-#: namespace entries that are runtime objects, not model buffers — they are
-#: reconstructed at load time instead of serialized.
-_RUNTIME_KEYS = ("_np", "_new_arena", "_P")
 
 
 def _sha256_file(path: Path) -> str:
@@ -127,49 +119,28 @@ def export_artifact(
             f"pass overwrite=True to replace its contents"
         )
 
-    lir = predictor.lir
-    sched = predictor.schedule
+    image = predictor.image
     (out / BUFFER_DIR).mkdir(exist_ok=True)
-    (out / KERNEL_NAME).write_text(predictor.source)
+    (out / KERNEL_NAME).write_text(image.source)
     (out / SCHEDULE_NAME).write_text(
-        json.dumps(sched.to_dict(), indent=2, sort_keys=True)
+        json.dumps(image.schedule, indent=2, sort_keys=True)
     )
 
-    # The exact namespace the JIT ran against, minus runtime objects: what
-    # is serialized is what executed, so the load is bit-faithful.
-    namespace = build_namespace(lir)
-    buffers: dict[str, dict] = {}
-    for name, value in namespace.items():
-        if name in _RUNTIME_KEYS:
-            continue
-        if not isinstance(value, np.ndarray):  # pragma: no cover - all
-            # non-runtime namespace entries are arrays by construction
-            raise ArtifactError(f"unserializable namespace entry {name!r}")
-        rel = f"{BUFFER_DIR}/{name}.npy"
-        np.save(out / rel, value, allow_pickle=False)
-        buffers[name] = {
-            "file": rel,
-            "dtype": str(value.dtype),
-            "shape": list(value.shape),
-        }
-
-    files = {rel: _sha256_file(out / rel) for rel in
-             [KERNEL_NAME, SCHEDULE_NAME] + [b["file"] for b in buffers.values()]}
     manifest = {
         "format_version": ARTIFACT_FORMAT_VERSION,
         "backend": AotExportBackend.name,
-        "fingerprint": model_fingerprint(predictor.forest, sched),
-        "model": {
-            "num_features": lir.num_features,
-            "num_classes": lir.num_classes,
-            "num_trees": predictor.forest.num_trees,
-            "base_score": lir.base_score,
-            "objective": predictor.forest.objective,
-        },
-        "arena": asdict(predictor.arena_spec) if predictor.arena_spec else None,
-        "quantization": lir.quant.describe() if lir.quant is not None else None,
-        "buffers": buffers,
-        "files": files,
+        **image.header(),
+    }
+    # The very buffers the kernel runs against: what is serialized is
+    # what executed, so the load is bit-faithful.
+    for name, value in image.buffers.items():
+        rel = f"{BUFFER_DIR}/{name}.npy"
+        np.save(out / rel, value, allow_pickle=False)
+        manifest["buffers"][name]["file"] = rel
+    manifest["files"] = {
+        rel: _sha256_file(out / rel)
+        for rel in [KERNEL_NAME, SCHEDULE_NAME]
+        + [b["file"] for b in manifest["buffers"].values()]
     }
     # Manifest last, atomically: a crashed export leaves a directory with
     # no manifest (cleanly rejected) rather than a manifest describing
@@ -184,71 +155,6 @@ def export_artifact(
 # ----------------------------------------------------------------------
 # Load
 # ----------------------------------------------------------------------
-
-class ArtifactPredictor(KernelExecutor):
-    """A compiled model reconstituted from an AOT artifact directory.
-
-    Executes identically to the in-process :class:`Predictor` it was
-    exported from (same source, same buffers, same arena policy), but owns
-    neither the forest nor the lowered module — only the facts the
-    manifest recorded.
-    """
-
-    backend_name = "aot_export"
-    #: marks executors that skipped compilation entirely
-    is_artifact = True
-
-    def __init__(
-        self,
-        kernel,
-        schedule: Schedule,
-        manifest: dict,
-        path: Path,
-        source: str,
-        nbytes: int,
-        validate_inputs: bool = True,
-        profile_recorder: ProfileRecorder | None = None,
-    ) -> None:
-        model = manifest["model"]
-        arena = None
-        if manifest.get("arena"):
-            spec = dict(manifest["arena"])
-            spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-            arena = ArenaSpec(**spec)
-        super().__init__(
-            kernel,
-            schedule,
-            num_features=model["num_features"],
-            num_classes=model["num_classes"],
-            base_score=model["base_score"],
-            objective=model["objective"],
-            validate_inputs=validate_inputs,
-            arena=arena,
-            source=source,
-        )
-        self.manifest = manifest
-        self.artifact_path = path
-        #: content hash of the exporting (forest, schedule) — lets the
-        #: serving cache coalesce this executor with an in-process compile
-        self.fingerprint: str = manifest["fingerprint"]
-        self.profile_recorder = profile_recorder
-        self._nbytes = nbytes
-
-    def memory_bytes(self) -> int:
-        """Model-buffer footprint of the loaded artifact buffers."""
-        return self._nbytes
-
-    def profile_counters(self) -> dict:
-        if self.profile_recorder is None:
-            return {}
-        return self.profile_recorder.aggregate()
-
-    def __repr__(self) -> str:
-        return (
-            f"ArtifactPredictor(trees={self.manifest['model']['num_trees']}, "
-            f"fingerprint={self.fingerprint[:12]}, path={str(self.artifact_path)!r})"
-        )
-
 
 def _read_manifest(out: Path) -> dict:
     manifest_path = out / MANIFEST_NAME
@@ -300,7 +206,7 @@ def artifact_fingerprint(path: str | os.PathLike) -> str:
 
 def load_artifact(
     path: str | os.PathLike, *, validate_inputs: bool = True
-) -> ArtifactPredictor:
+) -> KernelExecutor:
     """Reconstitute a ready executor from an artifact directory.
 
     No compiler stage runs: the stored source is byte-compiled directly
@@ -312,11 +218,7 @@ def load_artifact(
     manifest = _read_manifest(out)
     _verify_files(out, manifest)
 
-    schedule = Schedule.from_dict(json.loads((out / SCHEDULE_NAME).read_text()))
-    source = (out / KERNEL_NAME).read_text()
-
-    namespace: dict = {"_np": np}
-    nbytes = 0
+    buffers = {}
     for name, meta in manifest["buffers"].items():
         array = np.load(out / meta["file"], allow_pickle=False)
         if str(array.dtype) != meta["dtype"] or list(array.shape) != meta["shape"]:
@@ -325,25 +227,15 @@ def load_artifact(
                 f"{array.dtype}{array.shape} vs "
                 f"{meta['dtype']}{tuple(meta['shape'])}"
             )
-        namespace[name] = array
-        nbytes += array.nbytes
-    arena_dict = manifest.get("arena")
-    if arena_dict:
-        spec = dict(arena_dict)
-        spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-        arena = ArenaSpec(**spec)
-        namespace["_new_arena"] = lambda spec=arena: ScratchArena(spec)
-    recorder = None
-    if schedule.profile:
-        recorder = ProfileRecorder(label=f"artifact-{manifest['fingerprint'][:8]}")
-        # Weak proxy, strong ref on the predictor below: exec() closes a
-        # namespace<->kernel cycle only gc can break, and a strong `_P`
-        # would keep an evicted predictor's counters in aggregate_all()
-        # until collection. The proxy lets the recorder die by refcount
-        # with its ArtifactPredictor.
-        namespace["_P"] = weakref.proxy(recorder)
-
-    kernel, code_hit = compile_source(source, namespace)
+        buffers[name] = array
+    executor, code_hit = load_image(
+        manifest,
+        buffers,
+        source=(out / KERNEL_NAME).read_text(),
+        schedule=json.loads((out / SCHEDULE_NAME).read_text()),
+        backend_name=AotExportBackend.name,
+        validate_inputs=validate_inputs,
+    )
     observe_registry.record_backend_event(AotExportBackend.name, "artifact_loads")
     if code_hit:
         # The stored source was already byte-compiled in this process
@@ -352,16 +244,7 @@ def load_artifact(
         observe_registry.record_backend_event(
             AotExportBackend.name, "artifact_code_cache_hits"
         )
-    return ArtifactPredictor(
-        kernel,
-        schedule,
-        manifest,
-        out,
-        source,
-        nbytes,
-        validate_inputs=validate_inputs,
-        profile_recorder=recorder,
-    )
+    return executor
 
 
 # ----------------------------------------------------------------------
@@ -369,23 +252,16 @@ def load_artifact(
 # ----------------------------------------------------------------------
 
 @register_backend
-class AotExportBackend(Backend):
+class AotExportBackend(NumpyJitBackend):
     """Compile the NumPy kernel and support artifact export/load."""
 
     name = "aot_export"
     capabilities = ("jit", "export")
-
-    def build(self, forest, lir, *, validate_inputs=True, trace=None) -> Predictor:
-        predictor = Predictor(
-            forest, lir, validate_inputs=validate_inputs, trace=trace
-        )
-        predictor.backend_name = self.name
-        return predictor
 
     # The export surface, reachable from the resolved backend object so
     # callers can stay generic over `get_backend(name)`.
     def export(self, model, path, schedule=None, *, overwrite=False) -> Path:
         return export_artifact(model, path, schedule, overwrite=overwrite)
 
-    def load(self, path, *, validate_inputs=True) -> ArtifactPredictor:
+    def load(self, path, *, validate_inputs=True) -> KernelExecutor:
         return load_artifact(path, validate_inputs=validate_inputs)

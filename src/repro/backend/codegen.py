@@ -71,15 +71,12 @@ validates rows before calling the kernel.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from repro.config import PRECISION_TABLE
 from repro.errors import CodegenError
 from repro.lir.ir import LIRGroup, LIRModule
-from repro.lir.memory import ScratchArena, arena_spec, quant_mm_dtype
-from repro.observe.profile import ProfileRecorder
+from repro.lir.memory import quant_mm_dtype
 
 
 class _Emitter:
@@ -827,8 +824,8 @@ def emit_module_source(lir: LIRModule) -> str:
     return e.source()
 
 
-def build_namespace(lir: LIRModule, profile_recorder: ProfileRecorder | None = None) -> dict:
-    """The globals the generated source runs against.
+def build_namespace(lir: LIRModule) -> dict[str, np.ndarray]:
+    """The model buffers the generated source runs against, by name.
 
     Layout buffers are flattened with per-lane base offsets precomputed and
     all index-bearing arrays widened to int64 (NumPy's fast path for
@@ -836,39 +833,22 @@ def build_namespace(lir: LIRModule, profile_recorder: ProfileRecorder | None = N
     ``shape_id * row_length + bits``. Under ``precision="float32"`` the
     threshold/leaf/one-hot buffers narrow to float32 and feature indices to
     int32, halving their footprint and memory traffic; index math that
-    feeds ``np.take`` stays int64 (its fast path). Arena-mode modules also
-    get ``_new_arena``, the fallback scratch factory for direct kernel
-    calls.
+    feeds ``np.take`` stays int64 (its fast path). Every value is an
+    array; the runtime globals (``_np``, ``_new_arena``, ``_P``) are added
+    by :func:`repro.backend.image.bind`.
     """
     info = PRECISION_TABLE[lir.schedule.precision]
     fdt = np.dtype(info.element_dtype)
     idt = np.dtype(info.findex_dtype)
     quant = lir.quant
-    ns: dict = {"_np": np, "lut": np.ascontiguousarray(lir.lut, dtype=np.int64).reshape(-1)}
+    ns: dict = {"lut": np.ascontiguousarray(lir.lut, dtype=np.int64).reshape(-1)}
     if quant is not None:
         # Row-quantization tables (the kernel prologue) and the boundary
-        # rescale. The scale is a 0-d array so AOT export serializes it
-        # like every other namespace buffer.
+        # rescale. The scale is a 0-d array so a model image stores it
+        # like every other buffer.
         ns["_qc"] = np.ascontiguousarray(quant.cuts, dtype=np.float64)
         ns["_qo"] = np.ascontiguousarray(quant.cut_offsets, dtype=np.int64)
         ns["_qs"] = np.asarray(quant.leaf_scale, dtype=np.float64)
-    if lir.schedule.scratch == "arena":
-        spec = arena_spec(lir)
-        ns["_new_arena"] = lambda spec=spec: ScratchArena(spec)
-    if lir.schedule.profile:
-        # The kernel's `_C = _P.local()` resolves against this recorder. An
-        # externally owned recorder (the predictor's) is bound as a weak
-        # proxy: exec() installs predict_block into this namespace, closing
-        # a namespace<->function cycle that only gc breaks, and a strong
-        # `_P` would keep an evicted predictor's counters visible in
-        # aggregate_all() until that collection ran. With the proxy, the
-        # recorder dies by refcount with its predictor. Only when no owner
-        # exists (direct build_namespace calls, AOT export) does the
-        # namespace own the recorder itself.
-        if profile_recorder is not None:
-            ns["_P"] = weakref.proxy(profile_recorder)
-        else:
-            ns["_P"] = ProfileRecorder()
     # Quantized leaf codes and one-hots are float-carried exact integers
     # so the chunk matmul dispatches to BLAS (see quant_mm_dtype).
     mmdt = np.dtype(quant_mm_dtype(lir))

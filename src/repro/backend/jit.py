@@ -1,8 +1,9 @@
 """JIT compilation of generated inference source.
 
-``compile_lir`` emits source for an LIR module, compiles it with the
-built-in :func:`compile` (our stand-in for the LLVM JIT), and executes it in
-a namespace holding the model buffers. Code objects are cached by source
+:func:`compile_source` compiles generated source with the built-in
+:func:`compile` (our stand-in for the LLVM JIT) and executes it in a
+namespace holding the model buffers (:func:`repro.backend.image.bind`
+assembles that namespace). Code objects are cached by source
 text, so models that lower to identical code (e.g. the same schedule on
 isomorphic models) share compilation work — the payoff of tree reordering's
 code sharing, at the module level.
@@ -23,7 +24,6 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
-from repro.backend.codegen import build_namespace, emit_module_source
 from repro.errors import CodegenError
 from repro.lir.ir import LIRModule
 from repro.observe.profile import ProfileRecorder
@@ -85,22 +85,16 @@ def compile_lir(
 ) -> tuple[Callable, str]:
     """Emit + compile ``lir``; returns ``(predict_block, source)``.
 
-    ``trace`` gets one span per backend stage (source emission, namespace
-    materialization, bytecode compile); ``profile_recorder`` is bound as
-    the kernel's ``_P`` when the schedule enables profiling.
+    :func:`repro.backend.image.compile_image` without the image, so
+    without its forest-level facts (tree count, objective, fingerprint).
     """
-    trace = trace or CompilationTrace()
-    with trace.span("codegen-emit") as span:
-        source = emit_module_source(lir)
-        span.stats["source_lines"] = source.count("\n")
-        span.stats["source_bytes"] = len(source)
-    with trace.span("codegen-namespace") as span:
-        namespace = build_namespace(lir, profile_recorder=profile_recorder)
-        span.stats["num_globals"] = len(namespace)
-    with trace.span("jit-compile") as span:
-        kernel, hit = compile_source(source, namespace)
-        span.stats["code_cache_hit"] = hit
-    return kernel, source
+    from repro.backend.image import compile_image  # image imports this module
+
+    image, kernel, _ = compile_image(
+        lir, model={}, fingerprint="", trace=trace,
+        profile_recorder=profile_recorder,
+    )
+    return kernel, image.source
 
 
 def cache_size() -> int:

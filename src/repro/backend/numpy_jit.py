@@ -24,4 +24,6 @@ class NumpyJitBackend(Backend):
     capabilities = ("jit",)
 
     def build(self, forest, lir, *, validate_inputs=True, trace=None) -> Predictor:
-        return Predictor(forest, lir, validate_inputs=validate_inputs, trace=trace)
+        predictor = Predictor(forest, lir, validate_inputs=validate_inputs, trace=trace)
+        predictor.backend_name = self.name
+        return predictor

@@ -5,16 +5,16 @@ Two layers live here:
 * :class:`KernelExecutor` — the runtime engine around one compiled
   ``predict_block`` kernel: input validation, output allocation, row
   blocking, parallel fan-out, per-thread scratch arenas, and the objective
-  transform. It needs only the kernel plus a handful of scalar facts
-  (feature/class counts, base score, dtypes, arena spec) — *not* the
-  forest or the lowered module — which is what lets the AOT loader
-  (:mod:`repro.backend.aot`) reconstitute a ready executor in a process
-  that never ran the compiler.
+  transform. It needs only a :class:`~repro.backend.image.ModelImage` and
+  the kernel bound from it — *not* the forest or the lowered module —
+  which is what lets :func:`load_image` run a model read back from an AOT
+  artifact (:mod:`repro.backend.aot`) or shared memory
+  (:mod:`repro.backend.shm`) in a process that never ran the compiler.
 * :class:`Predictor` — the in-process compile result: a
   :class:`KernelExecutor` that also owns the source forest, the lowered
-  module, the compilation trace and the profiling recorder, and exposes
-  the introspection hooks used heavily by the tests and experiments
-  (generated source, LIR dump, buffer footprints).
+  module and the compilation trace, and exposes the introspection hooks
+  used heavily by the tests and experiments (generated source, LIR dump,
+  buffer footprints).
 
 Arena-mode kernels (``Schedule.scratch == "arena"``) write their walk-step
 temporaries into a preallocated :class:`~repro.lir.memory.ScratchArena`.
@@ -32,44 +32,78 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend.jit import compile_lir, model_fingerprint
+from repro.backend.image import ModelImage, bind, compile_image
+from repro.backend.jit import model_fingerprint
 from repro.backend.parallel import MulticoreSimulator, parallel_predict
 from repro.config import Schedule
 from repro.errors import ExecutionError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.lir.ir import LIRModule
-from repro.lir.memory import ArenaSpec, ScratchArena, arena_spec
+from repro.lir.memory import ArenaSpec, ScratchArena
 from repro.observe.profile import ProfileRecorder
 from repro.observe.trace import CompilationTrace
 
 
+def check_rows(
+    rows: np.ndarray, num_features: int, dtype=np.float64, validate: bool = True
+) -> np.ndarray:
+    """``rows`` as a C-contiguous ``(n, num_features)`` batch of ``dtype``.
+
+    Every executor's input check: a wrong shape, or NaN when ``validate``,
+    raises :class:`~repro.errors.ExecutionError`.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != num_features:
+        raise ExecutionError(f"rows must be (n, {num_features}), got {rows.shape}")
+    if rows.dtype != dtype or not rows.flags.c_contiguous:
+        rows = np.ascontiguousarray(rows, dtype=dtype)
+    # Single cheap validation pass: min() propagates NaN without
+    # materializing an (n, F) boolean mask the way isnan().any() does.
+    if validate and rows.size and np.isnan(rows.min()):
+        raise ExecutionError(
+            "NaN inputs are unsupported: speculative tile evaluation requires "
+            "totally ordered features, and missing-value routing is unsupported"
+        )
+    return rows
+
+
 class KernelExecutor:
-    """Executable wrapper around one compiled ``predict_block`` kernel."""
+    """Executable wrapper around one compiled ``predict_block`` kernel.
+
+    ``on_close`` releases what backs the image's buffers (shared-memory
+    attachments); :meth:`close` calls it once.
+    """
 
     #: registry name of the backend that produced this executor.
     backend_name: str = "numpy_jit"
+    #: True for executors loaded from a stored image: no compiler ran.
+    is_artifact: bool = False
+    #: the manifest a loaded executor was read from (None in-process).
+    manifest: dict | None = None
 
     def __init__(
         self,
+        image: ModelImage,
         kernel: Callable,
-        schedule: Schedule,
         *,
-        num_features: int,
-        num_classes: int,
-        base_score: float,
-        objective: str = "regression",
+        schedule: Schedule,
+        arena: ArenaSpec | None,
         validate_inputs: bool = True,
-        arena: ArenaSpec | None = None,
-        source: str = "",
+        profile_recorder: ProfileRecorder | None = None,
+        on_close: Callable[[], None] | None = None,
     ) -> None:
+        model = image.model
+        self.image = image
         self.kernel = kernel
         self.schedule = schedule
-        self.num_features = num_features
-        self.num_classes = num_classes
-        self.base_score = base_score
-        self.objective = objective
+        self.num_features = model["num_features"]
+        self.num_classes = model["num_classes"]
+        self.base_score = model["base_score"]
+        self.objective = model["objective"]
         self.validate_inputs = validate_inputs
-        self.source = source
+        self.source = image.source
+        self.profile_recorder = profile_recorder
+        self._on_close = on_close
         # Quantized kernels keep float64 input: rows are rank-coded inside
         # the kernel against float64 cut tables, so callers never see the
         # integer representation.
@@ -85,21 +119,9 @@ class KernelExecutor:
     # Inference
     # ------------------------------------------------------------------
     def _check(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.num_features:
-            raise ExecutionError(
-                f"rows must be (n, {self.num_features}), got {rows.shape}"
-            )
-        if rows.dtype != self.input_dtype or not rows.flags.c_contiguous:
-            rows = np.ascontiguousarray(rows, dtype=self.input_dtype)
-        # Single cheap validation pass: min() propagates NaN without
-        # materializing an (n, F) boolean mask the way isnan().any() does.
-        if self.validate_inputs and rows.size and np.isnan(rows.min()):
-            raise ExecutionError(
-                "NaN inputs are unsupported: speculative tile evaluation "
-                "requires totally ordered features"
-            )
-        return rows
+        return check_rows(
+            rows, self.num_features, self.input_dtype, self.validate_inputs
+        )
 
     def _alloc_out(self, n: int) -> np.ndarray:
         return np.full((n, self.num_classes), self.base_score, dtype=np.float64)
@@ -143,12 +165,7 @@ class KernelExecutor:
 
     def predict(self, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
         """Objective-transformed predictions (probabilities for classifiers)."""
-        raw = self.raw_predict(rows, threads=threads)
-        if self.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(self.raw_predict(rows, threads=threads), self.objective)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -167,6 +184,81 @@ class KernelExecutor:
         with self._arenas_lock:
             return sum(arena.nbytes() for arena in self._arenas)
 
+    @property
+    def fingerprint(self) -> str:
+        """Stable (model, schedule) content hash; the serving cache key."""
+        return self.image.fingerprint
+
+    def memory_bytes(self) -> int:
+        """Bytes of the model buffers the kernel runs against."""
+        return self.image.nbytes()
+
+    def profile_counters(self) -> dict:
+        """Aggregated kernel profiling counters across all threads.
+
+        Requires ``Schedule(profile=True)``; returns ``{}`` otherwise (the
+        instrumentation was compiled out of the kernel entirely).
+        """
+        if self.profile_recorder is None:
+            return {}
+        return self.profile_recorder.aggregate()
+
+    def reset_profile(self) -> None:
+        """Zero the profiling counters (before/after measurements)."""
+        if self.profile_recorder is not None:
+            self.profile_recorder.reset()
+
+    def close(self) -> None:
+        """Release the buffers' backing (idempotent); never unlinks shared memory."""
+        on_close, self._on_close = self._on_close, None
+        if on_close is not None:
+            on_close()
+
+    def __repr__(self) -> str:
+        return (
+            f"KernelExecutor(backend={self.backend_name}, "
+            f"trees={self.image.model['num_trees']}, "
+            f"fingerprint={self.fingerprint[:12]})"
+        )
+
+
+def load_image(
+    manifest: dict,
+    buffers: dict[str, np.ndarray],
+    *,
+    source: str,
+    schedule: dict,
+    backend_name: str,
+    validate_inputs: bool = True,
+    on_close: Callable[[], None] | None = None,
+) -> tuple[KernelExecutor, bool]:
+    """Bind the image a stored manifest (:meth:`ModelImage.header` fields)
+    describes; returns ``(executor, code_cache_hit)``."""
+    image = ModelImage(
+        fingerprint=manifest["fingerprint"], source=source, schedule=schedule,
+        model=manifest["model"], arena=manifest.get("arena"), buffers=buffers,
+        quantization=manifest.get("quantization"),
+    )
+    recorder = (
+        ProfileRecorder(label=f"{backend_name}-{image.fingerprint[:8]}")
+        if schedule.get("profile")
+        else None
+    )
+    kernel, arena, hit = bind(image, recorder)
+    executor = KernelExecutor(
+        image,
+        kernel,
+        schedule=Schedule.from_dict(schedule),
+        arena=arena,
+        validate_inputs=validate_inputs,
+        profile_recorder=recorder,
+        on_close=on_close,
+    )
+    executor.backend_name = backend_name
+    executor.is_artifact = True
+    executor.manifest = manifest
+    return executor, hit
+
 
 class Predictor(KernelExecutor):
     """Executable inference function for one in-process compiled model."""
@@ -183,7 +275,7 @@ class Predictor(KernelExecutor):
         #: the compilation trace this predictor was built under (None when
         #: constructed outside ``compile_model``); see ``trace.report()``
         self.trace = trace
-        self.profile_recorder = (
+        recorder = (
             ProfileRecorder(
                 label=f"trees{forest.num_trees}-t{lir.schedule.tile_size}"
                 f"-{lir.schedule.tiling}-{lir.schedule.layout}"
@@ -191,21 +283,27 @@ class Predictor(KernelExecutor):
             if lir.schedule.profile
             else None
         )
-        kernel, source = compile_lir(
-            lir, trace=trace, profile_recorder=self.profile_recorder
+        image, kernel, arena = compile_image(
+            lir,
+            model={
+                "num_features": lir.num_features,
+                "num_classes": lir.num_classes,
+                "num_trees": forest.num_trees,
+                "base_score": lir.base_score,
+                "objective": forest.objective,
+            },
+            fingerprint=lambda: model_fingerprint(forest, lir.schedule),
+            trace=trace,
+            profile_recorder=recorder,
         )
         super().__init__(
+            image,
             kernel,
-            lir.schedule,
-            num_features=lir.num_features,
-            num_classes=lir.num_classes,
-            base_score=lir.base_score,
-            objective=forest.objective,
+            schedule=lir.schedule,
+            arena=arena,
             validate_inputs=validate_inputs,
-            arena=arena_spec(lir) if lir.schedule.scratch == "arena" else None,
-            source=source,
+            profile_recorder=recorder,
         )
-        self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
     # Inference (simulation path needs the LIR-aware block runner)
@@ -224,13 +322,6 @@ class Predictor(KernelExecutor):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def fingerprint(self) -> str:
-        """Stable (model, schedule) content hash; the serving cache key."""
-        if self._fingerprint is None:
-            self._fingerprint = model_fingerprint(self.forest, self.schedule)
-        return self._fingerprint
-
     def memory_bytes(self) -> int:
         """Model-buffer footprint of the chosen in-memory representation.
 
@@ -239,25 +330,8 @@ class Predictor(KernelExecutor):
         savings; float modules keep the historical layout accounting.
         """
         if self.lir.quant is not None:
-            from repro.lir.memory import compiled_model_nbytes
-
-            return compiled_model_nbytes(self.lir)
+            return self.image.nbytes()
         return self.lir.total_nbytes()
-
-    def profile_counters(self) -> dict:
-        """Aggregated kernel profiling counters across all threads.
-
-        Requires ``Schedule(profile=True)``; returns ``{}`` otherwise (the
-        instrumentation was compiled out of the kernel entirely).
-        """
-        if self.profile_recorder is None:
-            return {}
-        return self.profile_recorder.aggregate()
-
-    def reset_profile(self) -> None:
-        """Zero the profiling counters (before/after measurements)."""
-        if self.profile_recorder is not None:
-            self.profile_recorder.reset()
 
     def dump_ir(self) -> str:
         """MIR loop nest + LIR summary, for docs and debugging."""

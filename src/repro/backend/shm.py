@@ -10,9 +10,10 @@ picklable *manifest* (kernel source + buffer names/dtypes/shapes + model
 facts); each child attaches the segments and maps zero-copy, read-only
 NumPy views over them.
 
-This mirrors the AOT artifact layout (:mod:`repro.backend.aot`) with the
-filesystem swapped for POSIX shared memory: the serialized namespace is
-exactly what the JIT executed, so an attached executor is bit-identical to
+The segments hold one :class:`~repro.backend.image.ModelImage`, as an AOT
+artifact directory (:mod:`repro.backend.aot`) does with the filesystem in
+place of POSIX shared memory: the stored buffers are exactly what the
+exporting kernel executed, so an attached executor is bit-identical to
 the exporting predictor. Lifecycle is explicit and parent-owned: the
 :class:`SharedModelHandle` unlinks the segments; children merely close
 their attachments.
@@ -20,23 +21,22 @@ their attachments.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import asdict
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.backend.codegen import build_namespace
-from repro.backend.jit import compile_source
-from repro.backend.predictor import KernelExecutor, Predictor
-from repro.config import Schedule
+from repro.backend.predictor import KernelExecutor, Predictor, load_image
 from repro.errors import BackendError
-from repro.lir.memory import ArenaSpec, ScratchArena
-from repro.observe.profile import ProfileRecorder
 
-#: namespace entries that are runtime objects, not model buffers (same
-#: contract as the AOT exporter) — reconstructed at attach time.
-_RUNTIME_KEYS = ("_np", "_new_arena", "_P")
+
+def _close(segments: list[shared_memory.SharedMemory], *, unlink: bool) -> None:
+    for segment in segments:
+        try:
+            segment.close()
+            if unlink:
+                segment.unlink()
+        except OSError:  # pragma: no cover - already removed externally
+            pass
 
 
 class SharedModelHandle:
@@ -68,12 +68,7 @@ class SharedModelHandle:
         if self._unlinked:
             return
         self._unlinked = True
-        for segment in self._segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:  # pragma: no cover - already removed externally
-                pass
+        _close(self._segments, unlink=True)
         self._segments = []
 
     def __enter__(self) -> "SharedModelHandle":
@@ -95,24 +90,18 @@ def export_shared(predictor: Predictor, *, name_prefix: str = "repro") -> Shared
     Returns a :class:`SharedModelHandle` whose ``manifest`` is picklable
     and self-contained: kernel source, schedule, model facts, arena spec
     and per-buffer segment names. Only in-process :class:`Predictor`
-    instances can be exported (the namespace is rebuilt from their LIR).
+    instances can be exported; a failed export unlinks what it made.
     """
     if not isinstance(predictor, Predictor):
         raise BackendError(
             f"only in-process compiled predictors can be shared, "
             f"got {type(predictor).__name__}"
         )
-    lir = predictor.lir
-    namespace = build_namespace(lir)
+    image = predictor.image
+    manifest = {**image.header(), "source": image.source, "schedule": image.schedule}
     segments: list[shared_memory.SharedMemory] = []
-    buffers: dict[str, dict] = {}
     try:
-        for buf_name, value in namespace.items():
-            if buf_name in _RUNTIME_KEYS:
-                continue
-            if not isinstance(value, np.ndarray):  # pragma: no cover - all
-                # non-runtime namespace entries are arrays by construction
-                raise BackendError(f"unshareable namespace entry {buf_name!r}")
+        for buf_name, value in image.buffers.items():
             value = np.ascontiguousarray(value)
             # SharedMemory rejects zero-byte segments; degenerate empty
             # buffers still get a 1-byte segment so attach stays uniform.
@@ -120,111 +109,23 @@ def export_shared(predictor: Predictor, *, name_prefix: str = "repro") -> Shared
             segments.append(segment)
             view = np.ndarray(value.shape, dtype=value.dtype, buffer=segment.buf)
             view[...] = value
-            buffers[buf_name] = {
-                "segment": segment.name,
-                "dtype": str(value.dtype),
-                "shape": list(value.shape),
-                "nbytes": value.nbytes,
-            }
+            manifest["buffers"][buf_name].update(
+                segment=segment.name, nbytes=value.nbytes
+            )
     except BaseException:
-        for segment in segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:
-                pass
+        _close(segments, unlink=True)
         raise
-    manifest = {
-        "fingerprint": predictor.fingerprint,
-        "source": predictor.source,
-        "schedule": predictor.schedule.to_dict(),
-        "model": {
-            "num_features": lir.num_features,
-            "num_classes": lir.num_classes,
-            "base_score": lir.base_score,
-            "objective": predictor.forest.objective,
-            "num_trees": predictor.forest.num_trees,
-        },
-        "arena": asdict(predictor.arena_spec) if predictor.arena_spec else None,
-        "buffers": buffers,
-    }
     return SharedModelHandle(manifest, segments)
-
-
-class SharedMemoryPredictor(KernelExecutor):
-    """A compiled model attached from shared-memory segments.
-
-    Executes identically to the exporting predictor (same source, same
-    bytes) but owns no buffer storage: its arrays are read-only views over
-    segments another process created. ``close()`` drops the attachments;
-    it never unlinks — that is the exporting parent's job.
-    """
-
-    backend_name = "shm"
-    is_artifact = True
-
-    def __init__(
-        self,
-        kernel,
-        schedule: Schedule,
-        manifest: dict,
-        segments: list[shared_memory.SharedMemory],
-        source: str,
-        validate_inputs: bool = True,
-        profile_recorder: ProfileRecorder | None = None,
-    ) -> None:
-        model = manifest["model"]
-        arena = None
-        if manifest.get("arena"):
-            spec = dict(manifest["arena"])
-            spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-            arena = ArenaSpec(**spec)
-        super().__init__(
-            kernel,
-            schedule,
-            num_features=model["num_features"],
-            num_classes=model["num_classes"],
-            base_score=model["base_score"],
-            objective=model["objective"],
-            validate_inputs=validate_inputs,
-            arena=arena,
-            source=source,
-        )
-        self.manifest = manifest
-        self.fingerprint: str = manifest["fingerprint"]
-        self.profile_recorder = profile_recorder
-        self._segments = segments
-        self._closed = False
-
-    def memory_bytes(self) -> int:
-        """Mapped (shared, not private) buffer bytes."""
-        return sum(meta["nbytes"] for meta in self.manifest["buffers"].values())
-
-    def close(self) -> None:
-        """Drop the segment attachments (views become invalid)."""
-        if self._closed:
-            return
-        self._closed = True
-        for segment in self._segments:
-            try:
-                segment.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedMemoryPredictor(buffers={len(self.manifest['buffers'])}, "
-            f"fingerprint={self.fingerprint[:12]})"
-        )
 
 
 def attach_shared(
     manifest: dict, *, validate_inputs: bool = True, untrack: bool = False
-) -> SharedMemoryPredictor:
+) -> KernelExecutor:
     """Attach an exported model in this process (typically a forked worker).
 
-    Rebuilds the JIT namespace from zero-copy, read-only views over the
-    named segments and byte-compiles the stored kernel source against it.
+    Rebuilds the model image from zero-copy, read-only views over the
+    named segments and binds it into an executor whose ``close()`` drops
+    the attachments (it never unlinks: that is the exporting parent's job).
     Raises :class:`~repro.errors.BackendError` if a segment is gone or a
     buffer does not match its manifest entry.
 
@@ -238,7 +139,7 @@ def attach_shared(
     that lets the tracker reap the segments if the exporter crashes.
     """
     segments: list[shared_memory.SharedMemory] = []
-    namespace: dict = {"_np": np}
+    buffers: dict[str, np.ndarray] = {}
     try:
         for buf_name, meta in manifest["buffers"].items():
             try:
@@ -263,35 +164,17 @@ def attach_shared(
                 )
             array = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
             array.flags.writeable = False
-            namespace[buf_name] = array
+            buffers[buf_name] = array
+        executor, _ = load_image(
+            manifest,
+            buffers,
+            source=manifest["source"],
+            schedule=manifest["schedule"],
+            backend_name="shm",
+            validate_inputs=validate_inputs,
+            on_close=lambda: _close(segments, unlink=False),
+        )
     except BaseException:
-        for segment in segments:
-            try:
-                segment.close()
-            except OSError:
-                pass
+        _close(segments, unlink=False)
         raise
-
-    schedule = Schedule.from_dict(manifest["schedule"])
-    if manifest.get("arena"):
-        spec = dict(manifest["arena"])
-        spec["pack_widths"] = tuple(spec.get("pack_widths") or ())
-        arena = ArenaSpec(**spec)
-        namespace["_new_arena"] = lambda spec=arena: ScratchArena(spec)
-    recorder = None
-    if schedule.profile:
-        recorder = ProfileRecorder(label=f"shm-{manifest['fingerprint'][:8]}")
-        # Weak proxy + strong ref on the predictor, same reasoning as the
-        # AOT loader: let the recorder die by refcount with its executor.
-        namespace["_P"] = weakref.proxy(recorder)
-
-    kernel, _ = compile_source(manifest["source"], namespace)
-    return SharedMemoryPredictor(
-        kernel,
-        schedule,
-        manifest,
-        segments,
-        manifest["source"],
-        validate_inputs=validate_inputs,
-        profile_recorder=recorder,
-    )
+    return executor

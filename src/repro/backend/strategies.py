@@ -14,8 +14,9 @@ import numpy as np
 
 from repro.baselines.quickscorer import QuickScorerPredictor
 from repro.config import QUANTIZED_PRECISIONS, Schedule
-from repro.errors import CodegenError, ExecutionError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.backend.predictor import check_rows
+from repro.errors import CodegenError
+from repro.forest.ensemble import Forest, apply_objective
 
 
 class QuickScorerStrategyPredictor:
@@ -41,29 +42,13 @@ class QuickScorerStrategyPredictor:
         self.validate_inputs = validate_inputs
         self._impl = QuickScorerPredictor(forest)
 
-    def _check(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.forest.num_features:
-            raise ExecutionError(
-                f"rows must be (n, {self.forest.num_features}), got {rows.shape}"
-            )
-        if rows.dtype != np.float64 or not rows.flags.c_contiguous:
-            rows = np.ascontiguousarray(rows, dtype=np.float64)
-        # min() propagates NaN in one pass without an (n, F) boolean mask.
-        if self.validate_inputs and rows.size and np.isnan(rows.min()):
-            raise ExecutionError("NaN inputs are unsupported")
-        return rows
-
     def raw_predict(self, rows: np.ndarray) -> np.ndarray:
-        return self._impl.raw_predict(self._check(rows))
+        return self._impl.raw_predict(
+            check_rows(rows, self.forest.num_features, validate=self.validate_inputs)
+        )
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
-        raw = self.raw_predict(rows)
-        if self.forest.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.forest.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(self.raw_predict(rows), self.forest.objective)
 
     def memory_bytes(self) -> int:
         """Footprint of the bitvector structures (masks + leaf values)."""

@@ -38,6 +38,15 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
+def apply_objective(raw: np.ndarray, objective: str) -> np.ndarray:
+    """Objective-transformed predictions (probabilities for classifiers)."""
+    if objective == "binary:logistic":
+        return sigmoid(raw)
+    if objective == "multiclass":
+        return softmax(raw)
+    return raw
+
+
 class Forest:
     """An ordered ensemble of decision trees.
 
@@ -142,12 +151,7 @@ class Forest:
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Objective-transformed predictions (probabilities for classifiers)."""
-        raw = self.raw_predict(rows)
-        if self.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(self.raw_predict(rows), self.objective)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -10,6 +10,14 @@ internal node and ``~id`` (i.e. ``-(id)-1``) is leaf ``id``.
 
 LightGBM's default numerical decision is ``x <= t`` goes left; thresholds are
 converted to this library's strict ``x < t`` convention with ``nextafter``.
+
+``decision_type`` is a bit field per internal node: bit 0 marks a
+categorical split, bit 1 the default (missing-value) direction, and bits
+2-3 the missing type (0 none, 1 zero, 2 NaN). Only numerical splits are
+supported: categorical splits, the zero missing type (which sends finite
+zeros the default way) and unknown values raise :class:`ModelParseError`.
+The NaN missing type routes every finite input like a plain ``x <= t``;
+NaN inputs themselves are rejected at predict time.
 """
 
 from __future__ import annotations
@@ -73,6 +81,22 @@ def _tree_from_section(fields: dict[str, str], class_id: int, tree_id: int) -> D
     ):
         if arr.shape[0] != num_internal:
             raise ModelParseError(f"tree {tree_id}: {name} length mismatch")
+
+    decision_type = _ints(fields.get("decision_type", ""))
+    if decision_type.shape[0] not in (0, num_internal):
+        raise ModelParseError(f"tree {tree_id}: decision_type length mismatch")
+    for node, kind in enumerate(decision_type):
+        if kind & 1:
+            raise ModelParseError(
+                f"tree {tree_id}, node {node}: categorical splits are unsupported"
+            )
+        if (kind >> 2) & 3 == 1:
+            raise ModelParseError(
+                f"tree {tree_id}, node {node}: zero-as-missing splits are "
+                f"unsupported (they route x == 0 by the default direction)"
+            )
+        if (kind >> 2) & 3 == 3 or kind >> 4:
+            raise ModelParseError(f"tree {tree_id}, node {node}: unknown decision_type {kind}")
 
     # Re-number: internal node i -> i, leaf j -> num_internal + j.
     def remap(child: int) -> int:

@@ -47,10 +47,7 @@ def compiled_model_nbytes(lir) -> int:
     narrowing that float32/int16/int8 modes buy."""
     from repro.backend.codegen import build_namespace  # codegen imports us
 
-    ns = build_namespace(lir)
-    return int(
-        sum(a.nbytes for a in ns.values() if isinstance(a, np.ndarray))
-    )
+    return int(sum(a.nbytes for a in build_namespace(lir).values()))
 
 
 def quantized_param_nbytes(lir) -> tuple[int, int]:

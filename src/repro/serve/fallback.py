@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend.interpreter import interpret_lir
+from repro.backend.predictor import check_rows
 from repro.config import Schedule
-from repro.errors import ExecutionError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.lir.ir import LIRModule
 
 
@@ -38,28 +38,15 @@ class _FallbackBase:
         self.validate_inputs = validate_inputs
 
     def _check(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self.forest.num_features:
-            raise ExecutionError(
-                f"rows must be (n, {self.forest.num_features}), got {rows.shape}"
-            )
-        if self.validate_inputs and np.isnan(rows).any():
-            raise ExecutionError(
-                "NaN inputs are unsupported: speculative tile evaluation "
-                "requires totally ordered features"
-            )
-        return rows
+        return check_rows(rows, self.forest.num_features, validate=self.validate_inputs)
 
     def raw_predict(self, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def predict(self, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
-        raw = self.raw_predict(rows, threads=threads)
-        if self.forest.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.forest.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(
+            self.raw_predict(rows, threads=threads), self.forest.objective
+        )
 
 
 class InterpreterPredictor(_FallbackBase):
@@ -70,8 +57,7 @@ class InterpreterPredictor(_FallbackBase):
         self.lir = lir
 
     def raw_predict(self, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
-        rows = self._check(rows)
-        out = interpret_lir(self.lir, rows)
+        out = interpret_lir(self.lir, self._check(rows))
         return out[:, 0] if self.lir.num_classes == 1 else out
 
     def __repr__(self) -> str:
@@ -86,8 +72,7 @@ class ReferencePredictor(_FallbackBase):
         super().__init__(forest, schedule or Schedule(), validate_inputs)
 
     def raw_predict(self, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
-        rows = self._check(rows)
-        return self.forest.raw_predict(rows)
+        return self.forest.raw_predict(self._check(rows))
 
     def __repr__(self) -> str:
         return f"ReferencePredictor(trees={self.forest.num_trees})"

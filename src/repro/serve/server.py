@@ -329,6 +329,17 @@ class ModelServer:
         if slo is not None:
             with self._lock:
                 self._slos[name] = slo
+        session_kwargs = dict(
+            cache=self.cache,
+            metrics=self.metrics,
+            batching=self.config.batching if batching == "inherit" else batching,
+            threads=self.config.threads if threads == "inherit" else threads,
+            allow_fallback=self.config.allow_fallback,
+            validate_inputs=self.config.validate_inputs,
+            name=name,
+            tracer=self.tracer,
+            slow_request_s=self.config.slow_request_s,
+        )
         if workers is not None:
             if forest is None:
                 raise ServingError("sharded serving (workers=...) needs a forest")
@@ -356,32 +367,8 @@ class ModelServer:
                 validate_inputs=self.config.validate_inputs,
                 name=f"repro-shard-{name}",
             )
-            session = InferenceSession(
-                forest,
-                predictor=predictor,
-                cache=self.cache,
-                metrics=self.metrics,
-                batching=self.config.batching if batching == "inherit" else batching,
-                threads=self.config.threads if threads == "inherit" else threads,
-                allow_fallback=self.config.allow_fallback,
-                validate_inputs=self.config.validate_inputs,
-                name=name,
-                tracer=self.tracer,
-                slow_request_s=self.config.slow_request_s,
-            )
-            with self._lock:
-                old = self._sessions.get(name)
-                self._sessions[name] = session
-                old_sharded = self._sharded.pop(name, None)
-                self._sharded[name] = predictor
-                stale_timer = self._pgo_timers.pop(name, None)
-            if stale_timer is not None:
-                stale_timer.cancel()
-            if old is not None:
-                old.close()
-            if old_sharded is not None:
-                old_sharded.close()
-            return session
+            session = InferenceSession(forest, predictor=predictor, **session_kwargs)
+            return self._install(name, session, sharded=predictor)
         if shards is not None:
             raise ServingError("shards=... requires workers=...")
         if artifact is not None:
@@ -400,61 +387,17 @@ class ModelServer:
                     "artifacts carry only the compiled kernel"
                 )
             predictor = self._load_artifact(artifact)
-            session = InferenceSession(
-                None,
-                predictor=predictor,
-                cache=self.cache,
-                metrics=self.metrics,
-                batching=self.config.batching if batching == "inherit" else batching,
-                threads=self.config.threads if threads == "inherit" else threads,
-                allow_fallback=self.config.allow_fallback,
-                validate_inputs=self.config.validate_inputs,
-                name=name,
-                tracer=self.tracer,
-                slow_request_s=self.config.slow_request_s,
-            )
-            with self._lock:
-                old = self._sessions.get(name)
-                self._sessions[name] = session
-                old_sharded = self._sharded.pop(name, None)
-                stale_timer = self._pgo_timers.pop(name, None)
-            if stale_timer is not None:
-                stale_timer.cancel()
-            if old is not None:
-                old.close()
-            if old_sharded is not None:
-                old_sharded.close()
-            return session
+            session = InferenceSession(None, predictor=predictor, **session_kwargs)
+            return self._install(name, session)
         if forest is None:
             raise ServingError("register() needs a forest or an artifact")
         if pgo:
             # The profile recorder is what the periodic job reads; PGO
             # without it would never see a measured walk depth.
             schedule = (schedule or Schedule()).with_(profile=True)
-        session = InferenceSession(
-            forest,
-            schedule,
-            cache=self.cache,
-            metrics=self.metrics,
-            batching=self.config.batching if batching == "inherit" else batching,
-            threads=self.config.threads if threads == "inherit" else threads,
-            allow_fallback=self.config.allow_fallback,
-            validate_inputs=self.config.validate_inputs,
-            name=name,
-            tracer=self.tracer,
-            slow_request_s=self.config.slow_request_s,
+        session = self._install(
+            name, InferenceSession(forest, schedule, **session_kwargs)
         )
-        with self._lock:
-            old = self._sessions.get(name)
-            self._sessions[name] = session
-            old_sharded = self._sharded.pop(name, None)
-            stale_timer = self._pgo_timers.pop(name, None)
-        if stale_timer is not None:
-            stale_timer.cancel()
-        if old is not None:
-            old.close()
-        if old_sharded is not None:
-            old_sharded.close()
         if pgo:
             self._arm_pgo_timer(name, session)
         if tune:
@@ -464,6 +407,25 @@ class ModelServer:
             else:
                 tune_rows = np.ascontiguousarray(tune_rows, dtype=np.float64)
             self._start_tune(name, session, tune_rows, tune_space)
+        return session
+
+    def _install(
+        self, name: str, session: InferenceSession, sharded=None
+    ) -> InferenceSession:
+        """Serve ``session`` as ``name`` and close whatever it replaces."""
+        with self._lock:
+            old = self._sessions.get(name)
+            self._sessions[name] = session
+            old_sharded = self._sharded.pop(name, None)
+            if sharded is not None:
+                self._sharded[name] = sharded
+            stale_timer = self._pgo_timers.pop(name, None)
+        if stale_timer is not None:
+            stale_timer.cancel()
+        if old is not None:
+            old.close()
+        if old_sharded is not None:
+            old_sharded.close()
         return session
 
     def _load_artifact(self, path: str):

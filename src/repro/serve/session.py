@@ -23,7 +23,7 @@ from repro.backend.jit import (
 )
 from repro.config import Schedule
 from repro.errors import CompilerError, ServingError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.observe import events as flight
 from repro.serve.batching import BatchingPolicy, MicroBatcher
 from repro.serve.cache import PredictorCache
@@ -281,12 +281,7 @@ class InferenceSession:
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         """Objective-transformed predictions (probabilities for classifiers)."""
-        raw = self.raw_predict(rows)
-        if self.objective == "binary:logistic":
-            return sigmoid(raw)
-        if self.objective == "multiclass":
-            return softmax(raw)
-        return raw
+        return apply_objective(self.raw_predict(rows), self.objective)
 
     def submit(self, rows: np.ndarray):
         """Async raw-margin request; requires a batching policy."""

@@ -52,7 +52,7 @@ import numpy as np
 from repro.backend.shm import SharedModelHandle, attach_shared, export_shared
 from repro.config import Schedule
 from repro.errors import ServingError
-from repro.forest.ensemble import Forest, sigmoid, softmax
+from repro.forest.ensemble import Forest, apply_objective
 from repro.observe import events as flight
 
 #: how long WorkerPool waits for a forked worker to attach and report ready
@@ -628,12 +628,10 @@ class ShardedPredictor:
         compatibility; parallelism here is processes, not row blocks)."""
         if self._closed:
             raise ServingError("sharded predictor is closed")
-        rows = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
         if self._pool is None:
-            partials = [p.raw_predict(rows) for p in self._shard_predictors]
-        else:
-            by_shard = self._pool.execute(rows)
-            partials = [by_shard[s] for s in range(self.plan.num_shards)]
+            return self.local_raw_predict(rows)
+        by_shard = self._pool.execute(np.ascontiguousarray(rows, dtype=np.float64))
+        partials = [by_shard[s] for s in range(self.plan.num_shards)]
         return self.combiner.fn(partials, self.combine_base)
 
     def local_raw_predict(self, rows: np.ndarray) -> np.ndarray:
@@ -646,10 +644,7 @@ class ShardedPredictor:
     def predict(self, rows: np.ndarray) -> np.ndarray:
         raw = self.raw_predict(rows)
         if self.combiner.objective_transform:
-            if self.objective == "binary:logistic":
-                return sigmoid(raw)
-            if self.objective == "multiclass":
-                return softmax(raw)
+            return apply_objective(raw, self.objective)
         return raw
 
     def memory_bytes(self) -> int:

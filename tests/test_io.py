@@ -141,6 +141,63 @@ class TestLightGBM:
         with pytest.raises(ModelParseError):
             parse_lightgbm_text(bad)
 
+    #: one categorical split: x0 in {3} goes left. ``threshold`` is an index
+    #: into ``cat_threshold`` (bitset word 8 = 1 << 3), not a value.
+    CATEGORICAL = """tree
+version=v3
+num_class=1
+max_feature_idx=0
+objective=regression
+
+Tree=0
+num_leaves=2
+num_cat=1
+split_feature=0
+threshold=0
+decision_type=1
+left_child=-1
+right_child=-2
+leaf_value=1.0 2.0
+cat_boundaries=0 1
+cat_threshold=8
+
+end of trees
+"""
+
+    def test_categorical_split_rejected(self):
+        # Read as a numeric x0 <= 0 split, x0=0 would go left (1.0) where
+        # LightGBM sends it right (2.0, since 0 is not in {3}).
+        with pytest.raises(ModelParseError, match="tree 0, node 0: categorical"):
+            parse_lightgbm_text(self.CATEGORICAL)
+
+    def test_zero_as_missing_rejected(self):
+        # Missing type 1 (zero) routes x == 0 by the default direction.
+        text = LGB_TEXT.replace("right_child=1 -3\n", "right_child=1 -3\ndecision_type=2 6\n")
+        with pytest.raises(ModelParseError, match="tree 0, node 1: zero-as-missing"):
+            parse_lightgbm_text(text)
+
+    @pytest.mark.parametrize("kind", [12, 16])
+    def test_unknown_decision_type_rejected(self, kind):
+        text = LGB_TEXT.replace("right_child=1 -3\n", f"right_child=1 -3\ndecision_type=0 {kind}\n")
+        with pytest.raises(ModelParseError, match=f"tree 0, node 1: unknown decision_type {kind}"):
+            parse_lightgbm_text(text)
+
+    def test_numeric_decision_types_accepted(self):
+        # Default-left (bit 1) and NaN-as-missing (type 2) keep x <= t routing
+        # for every finite input; NaN inputs are rejected at predict time.
+        text = LGB_TEXT.replace("right_child=1 -3\n", "right_child=1 -3\ndecision_type=2 10\n")
+        tree = parse_lightgbm_text(text).trees[0]
+        assert tree.predict_row(np.array([0.0, 0.0, 1.5])) == -0.5
+        assert tree.predict_row(np.array([0.0, 0.0, 2.0])) == 1.0
+
+    def test_nan_input_error_names_missing_value_routing(self):
+        from repro.api import compile_model
+        from repro.errors import ExecutionError
+
+        predictor = compile_model(parse_lightgbm_text(LGB_TEXT))
+        with pytest.raises(ExecutionError, match="missing-value routing is unsupported"):
+            predictor.predict(np.array([[np.nan, 0.0, 0.0]]))
+
 
 class TestSklearn:
     def _arrays(self):

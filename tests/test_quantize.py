@@ -292,6 +292,25 @@ def test_quantized_memory_bytes_reports_kernel_buffers(forest):
     assert predictor.lir.quant.table_nbytes() > 0
 
 
+@pytest.mark.parametrize("precision", ["int16", "int8"])
+def test_quantized_memory_bytes_sums_the_image(forest, precision, monkeypatch):
+    from repro.backend import codegen
+    from repro.lir.memory import compiled_model_nbytes
+
+    predictor = compile_model(forest, Schedule(precision=precision))
+    expected = compiled_model_nbytes(predictor.lir)
+    calls = []
+    build = codegen.build_namespace
+    monkeypatch.setattr(
+        codegen, "build_namespace", lambda lir: calls.append(lir) or build(lir)
+    )
+    # A metrics scrape reads memory_bytes() repeatedly; none may rebuild
+    # the model's buffers.
+    assert predictor.memory_bytes() == expected
+    assert predictor.memory_bytes() == expected
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # Serving integration
 # ----------------------------------------------------------------------

@@ -46,6 +46,7 @@ from repro.serve import (
     register_combiner,
     shard_forest,
 )
+from test_aot_roundtrip import GRID
 
 NUM_FEATURES = 6
 TOL = dict(rtol=1e-10, atol=1e-12)
@@ -197,8 +198,9 @@ class TestCombiners:
 # Shared-memory export / attach
 # ----------------------------------------------------------------------
 class TestSharedMemory:
-    def test_roundtrip_is_bitwise(self, forest, rows):
-        predictor = compile_model(forest, Schedule(tile_size=4))
+    @pytest.mark.parametrize("schedule", GRID)
+    def test_roundtrip_is_bitwise(self, forest, rows, schedule):
+        predictor = compile_model(forest, schedule)
         handle = export_shared(predictor)
         try:
             attached = attach_shared(handle.manifest)
@@ -212,6 +214,16 @@ class TestSharedMemory:
         finally:
             handle.unlink()
         handle.unlink()  # idempotent
+
+    def test_attached_executor_has_profile_counters(self, forest, rows):
+        predictor = compile_model(forest, Schedule(profile=True))
+        with export_shared(predictor) as handle:
+            attached = attach_shared(handle.manifest)
+            try:
+                attached.raw_predict(rows)
+                assert attached.profile_counters()["rows"] > 0
+            finally:
+                attached.close()
 
     def test_attached_buffers_are_read_only(self, forest, rows):
         predictor = compile_model(forest)
